@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fvq
-from fvq import pipeline
+from fvq import entropy, pipeline
 
 CACHE_DIR = Path(__file__).parent / ".cache"
 
@@ -41,6 +41,49 @@ def make_corpus(num_symbols, snr_db=5.0, seed=0, link="uplink_scfdm",
             modulation=modulation,
         )
     )
+
+
+def seeded_codebooks(quantizer, seed=0):
+    """Codebooks of `quantizer`'s geometry drawn from a seeded rng instead of
+    trained, so tests that pin bytes do not move when training changes.
+
+    Codewords are spread over the block-scaled range (+-2^scale_bits) and
+    usage counts are random, so the Huffman tables are not uniform."""
+    rng = np.random.default_rng(seed)
+    span = 2.0 ** quantizer.scale_bits
+
+    def codebook(l, q, values):
+        n = 2 ** (l * q)
+        return fvq.Codebook(l, q, values((n, l)), rng.integers(0, 50, n))
+
+    def spread(shape):
+        return rng.uniform(-span, span, shape)
+
+    if isinstance(quantizer, pipeline.VqSpec):
+        return codebook(quantizer.l_vq, quantizer.q_vq, spread)
+    if isinstance(quantizer, pipeline.MsvqSpec):
+        q = quantizer
+        stage1 = codebook(q.l, q.q1, spread)
+        # each cell refines around its stage-1 codeword
+        cell = span / 2 ** q.q1
+        stage2 = [
+            codebook(q.l, q.q2, lambda shape, c=c: c + rng.uniform(-cell, cell, shape))
+            for c in stage1.codewords
+        ]
+        return fvq.MsvqCodebook(stage1, stage2, q.l, q.q1, q.q2)
+    if isinstance(quantizer, pipeline.UpmgqSpec):
+        q = quantizer
+        # high parts over 2^theta are non-negative integers
+        levels = int(span * 2.0 ** -q.theta)
+        high = codebook(
+            q.l, q.q_high,
+            lambda shape: rng.integers(0, levels, shape).astype(np.float64),
+        )
+        n_low = 1 << q.q_low
+        low = (np.arange(n_low) + 0.5) * 2.0 ** q.theta / n_low
+        table = entropy.table_from_counts(high.usage_counts, high.size)
+        return fvq.UpmgqCodebook(high, low, table, q.theta, q.q_low)
+    return None
 
 
 @pytest.fixture(scope="session")
