@@ -22,12 +22,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import frontend, metrics, pipeline, upmgq, vectorizer, vq_core, waveform
+from . import metrics, pipeline, upmgq, vectorizer, vq_core, waveform
 from .errors import ContractViolationError, FormatError
 from .iqstream import read_iqf1, write_iqf1
-from .msvq import load_msvq, save_msvq
-from .upmgq import load_upmgq, save_upmgq
-from .vq_core import load_codebook, save_codebook
 
 log = logging.getLogger("fvq")
 
@@ -100,7 +97,7 @@ def _waveform_config(block: dict) -> waveform.WaveformConfig:
 def _gen_corpus(block: dict):
     cfg, channel = _waveform_config(block)
     stream = waveform.generate(cfg)
-    if channel in ("multipath", "pedb_stand_in"):
+    if channel == "multipath":
         stream = waveform.apply_static_multipath(stream, cfg.seed)
     elif channel != "awgn":
         raise ContractViolationError(f"unknown channel {channel!r}")
@@ -160,42 +157,13 @@ def cmd_train(args) -> int:
     config = _load_config(args)
     profile = _profile_from(config)
     stream = read_iqf1(getattr(args, "in"))
-    trainer, trials, stop, seed = _trainer_opts(config)
     artifact = pipeline.train_for_profile(
-        stream, profile, trainer, trials, stop, seed
+        stream, profile, *_trainer_opts(config)
     )
-    q = profile.quantizer
-    if q.kind == "vq":
-        save_codebook(artifact, args.out)
-        meta = artifact.training_meta
-        for t, d in enumerate(meta.trial_distortions):
-            marker = " (rescaled init)" if trainer == vq_core.MODIFIED and t else ""
-            log.info("trial %d: distortion %.6g%s", t, d, marker)
-        log.info("final distortion %.6g after %d iterations",
-                 meta.final_distortion, meta.iterations)
-    elif q.kind == "msvq":
-        save_msvq(artifact, args.out)
-        log.info("stage-1 distortion %.6g; %d stage-2 codebooks",
-                 artifact.stage1.training_meta.final_distortion,
-                 len(artifact.stage2))
-    else:
-        save_upmgq(artifact, q.config(profile.q0), args.out)
-        log.info("G2 distortion %.6g",
-                 artifact.high_vq.training_meta.final_distortion)
+    profile.quantizer.save(artifact, args.out, profile.q0)
     _write_sidecar(args.out, "train", config)
     print(f"wrote {args.out}")
     return EXIT_OK
-
-
-def _load_artifact(path, profile):
-    kind = profile.quantizer.kind
-    if kind == "vq":
-        return load_codebook(path)
-    if kind == "msvq":
-        return load_msvq(path)
-    if kind == "upmgq":
-        return load_upmgq(path)[0]
-    raise ContractViolationError("raw profiles take no codebook")
 
 
 def _print_stage_table(profile, stats):
@@ -212,11 +180,7 @@ def cmd_compress(args) -> int:
     config = _load_config(args)
     profile = _profile_from(config)
     stream = read_iqf1(getattr(args, "in"))
-    codebook = None
-    if profile.quantizer.kind != "raw":
-        if not args.codebook:
-            raise ContractViolationError("this profile needs --codebook")
-        codebook = _load_artifact(args.codebook, profile)
+    codebook = profile.quantizer.load(args.codebook) if args.codebook else None
     bits = pipeline.compress(stream, profile, codebook)
     with open(args.out, "wb") as fh:
         fh.write(bits.to_bytes())
@@ -231,21 +195,12 @@ def cmd_decompress(args) -> int:
     profile = _profile_from(config)
     with open(getattr(args, "in"), "rb") as fh:
         data = fh.read()
-    codebook = None
-    if profile.quantizer.kind != "raw":
-        if not args.codebook:
-            raise ContractViolationError("this profile needs --codebook")
-        codebook = _load_artifact(args.codebook, profile)
+    codebook = profile.quantizer.load(args.codebook) if args.codebook else None
     stream = pipeline.decompress(data, profile, codebook)
     write_iqf1(stream, args.out)
     _write_sidecar(args.out, "decompress", config)
     print(f"wrote {args.out}: {len(stream)} samples")
     return EXIT_OK
-
-
-def _train_chain_codebook(corpus, profile, opts):
-    trainer, trials, stop, seed = opts
-    return pipeline.train_for_profile(corpus, profile, trainer, trials, stop, seed)
 
 
 def cmd_eval(args) -> int:
@@ -266,20 +221,15 @@ def cmd_eval(args) -> int:
         wf_eval["seed"] = int(wf.get("seed", 0)) + eval_seed_offset
         eval_corpora[label] = _gen_corpus(wf_eval)
 
-    workers = _threads(args)
     labels = list(corpora_spec)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        codebooks = dict(
-            zip(
-                labels,
-                pool.map(
-                    lambda lab: _train_chain_codebook(
-                        train_corpora[lab], profile, opts
-                    ),
-                    labels,
-                ),
-            )
+    with ThreadPoolExecutor(max_workers=_threads(args)) as pool:
+        trained = pool.map(
+            lambda lab: pipeline.train_for_profile(
+                train_corpora[lab], profile, *opts
+            ),
+            labels,
         )
+        codebooks = dict(zip(labels, trained))
     matrix = metrics.mismatch_matrix(codebooks, eval_corpora, profile)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "mismatch.csv")
@@ -322,16 +272,11 @@ def cmd_sweep(args) -> int:
         eval_corpus = _gen_corpus(eval_wf)
 
         def run_point(point):
-            chain = {
-                k: v for k, v in config.items()
-                if k not in ("waveform", "training", "eval", "sweep")
-            }
-            chain.update(point.get("profile", {}))
-            chain["quantizer"] = point["quantizer"]
-            prof = pipeline.CompressionProfile.from_dict(chain)
-            codebook = None
-            if prof.quantizer.kind != "raw":
-                codebook = _train_chain_codebook(train_corpus, prof, opts)
+            prof = _profile_from({
+                **config, **point.get("profile", {}),
+                "quantizer": point["quantizer"],
+            })
+            codebook = pipeline.train_for_profile(train_corpus, prof, *opts)
             counter = vq_core.SearchCounter()
             report = pipeline.evaluate_chain(
                 eval_corpus, prof, codebook, counter

@@ -153,6 +153,11 @@ def decode(table: HuffmanTable, payload: bytes, count: int) -> np.ndarray:
     lengths = table.code_lengths
     if table.alphabet_size == 1:
         return np.zeros(count, dtype=np.int64)
+    if count > 8 * len(payload):  # every code is at least one bit long
+        raise MalformedBitstreamError(
+            f"bit payload exhausted: {8 * len(payload)} bits cannot hold "
+            f"{count} symbols"
+        )
     max_len = int(lengths.max())
     order = np.lexsort((np.arange(len(lengths)), lengths))
     sorted_lens = lengths[order]

@@ -39,11 +39,22 @@ per N_BS input samples.
 With CP removal the downlink stream is whole l_sym-sample symbols, so the
 resampler treats each symbol as one period (see `frontend.resample`); this
 needs l_sym * K / L to be an integer, which the profile enforces.
+
+Quantizers. Everything that differs between vq, msvq, upmgq and raw sits in
+the profile's quantizer spec, behind one interface that `compress`,
+`decompress`, `train_for_profile` and the CLI call: `check` (codebook type
+and geometry), `train` (the artifact; None for raw), `quantize` (append the
+kind's sections to a Bitstream and fill in its vector count, stored
+codewords and search counters), `dequantize` (sections back to the
+block-scaled stream), `gain_stats` (the quantizer's gains in the CR
+accounting) and `save`/`load` (its VQCB, VQMS or UPMG file). VQ and MSVQ
+share `_IndexQuantizer`. Adding a quantizer is one spec class plus its
+`_QUANTIZER_KINDS` entry.
 """
 
 import hashlib
 import json
-import math
+import logging
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,7 +62,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import entropy as ec
-from . import frontend, vq_core
+from . import frontend, msvq, upmgq, vq_core
 from .bitio import (
     concat_bits,
     pack_bit_array,
@@ -78,6 +89,8 @@ from .vectorizer import VectorBatch, VectorLayout, devectorize, vectorize
 from .vq_core import Codebook, SearchCounter
 from .waveform import subcarrier_indices
 
+log = logging.getLogger(__name__)
+
 CPZ1_MAGIC = b"CPZ1"
 _CPZ1_VERSION = 1
 
@@ -94,8 +107,63 @@ SEC_G3 = 7
 SEC_RAW = 8
 
 
+def _vectors(x: IQStream, profile, l: int) -> np.ndarray:
+    return vectorize(x, profile.vector_method, l, profile.vector_seed).vectors
+
+
+def _require(codebooks, cls, kind: str):
+    if not isinstance(codebooks, cls):
+        raise ContractViolationError(f"{kind} profile needs a {cls.__name__}")
+
+
+class _IndexQuantizer:
+    """VQ and MSVQ: vectors of `l` components, searched stage by stage, one
+    index section per stage. A subclass gives `stages` (each stage's section
+    kind and fixed index width in bits), `search` (every stage's indices),
+    `reconstruct` (vectors from them) and `tables` (one Huffman table per
+    stage from the codebook's usage counts, used with entropy coding)."""
+
+    def _tables(self, cb, use_ec):
+        return self.tables(cb) if use_ec else [None] * len(self.stages)
+
+    def quantize(self, x, profile, cb, bits, counter):
+        vecs = _vectors(x, profile, self.l)
+        use_ec = profile.entropy_coding
+        indices = self.search(cb, vecs, counter)
+        for (kind, width), idx, table in zip(
+            self.stages, indices, self._tables(cb, use_ec)
+        ):
+            bits.sections.append(_index_section(kind, idx, table, width, use_ec))
+        bits.stats.n_vectors = len(vecs)
+        bits.stats.stored_codewords = cb.stored_codewords
+        if counter is not None:
+            bits.stats.search_counters[self.kind] = counter
+
+    def dequantize(self, bits, profile, cb, rate):
+        use_ec = profile.entropy_coding
+        indices = [
+            _decode_index_section(bits, kind, table, width, use_ec, self.l)
+            for (kind, width), table in zip(self.stages, self._tables(cb, use_ec))
+        ]
+        batch = VectorBatch(
+            self.l, self.reconstruct(cb, *indices), profile.vector_method,
+            permutation_seed=bits.perm_seed, original_count=2 * bits.m_dec,
+        )
+        return devectorize(batch, rate)
+
+    def gain_stats(self, stats, q0):
+        width = sum(w for _, w in self.stages)
+        idx_bits = sum(stats.section_bits[k] for k, _ in self.stages)
+        stats.l_huff_emitted = idx_bits / max(stats.n_vectors, 1)
+        stats.cr_vq = q0 * self.l / width
+        stats.cr_ec = (
+            width / stats.l_huff_emitted if stats.l_huff_emitted > 0 else 1.0
+        )
+        stats.quantizer_gain = stats.cr_vq * stats.cr_ec
+
+
 @dataclass
-class VqSpec:
+class VqSpec(_IndexQuantizer):
     l_vq: int = 2
     q_vq: int = 6
 
@@ -105,9 +173,52 @@ class VqSpec:
     def scale_bits(self):
         return self.q_vq
 
+    @property
+    def l(self):
+        return self.l_vq
+
+    @property
+    def stages(self):
+        return [(SEC_VQ_IDX, self.l_vq * self.q_vq)]
+
+    def check(self, cb):
+        _require(cb, Codebook, self.kind)
+        if (cb.l_vq, cb.q_vq) != (self.l_vq, self.q_vq):
+            raise ContractViolationError(
+                f"codebook geometry ({cb.l_vq},{cb.q_vq}) != "
+                f"profile ({self.l_vq},{self.q_vq})"
+            )
+
+    def train(self, x, profile, trainer, trials, stop, seed):
+        train = (vq_core.train_classical if trainer == vq_core.CLASSICAL
+                 else vq_core.train_modified)
+        cb = train(_vectors(x, profile, self.l), self.q_vq, trials, stop, seed)
+        meta = cb.training_meta
+        for t, d in enumerate(meta.trial_distortions):
+            marker = " (rescaled init)" if trainer == vq_core.MODIFIED and t else ""
+            log.info("trial %d: distortion %.6g%s", t, d, marker)
+        log.info("final distortion %.6g after %d iterations",
+                 meta.final_distortion, meta.iterations)
+        return cb
+
+    def tables(self, cb):
+        return [ec.table_from_counts(cb.usage_counts, cb.size)]
+
+    def search(self, cb, vecs, counter):
+        return [vq_core.quantize_batch(cb, vecs, counter)]
+
+    def reconstruct(self, cb, idx):
+        return vq_core.dequantize_batch(cb, idx)
+
+    def save(self, cb, path, q0):
+        vq_core.save_codebook(cb, path)
+
+    def load(self, path):
+        return vq_core.load_codebook(path)
+
 
 @dataclass
-class MsvqSpec:
+class MsvqSpec(_IndexQuantizer):
     q1: int = 3
     q2: int = 3
     l: int = 2
@@ -117,6 +228,43 @@ class MsvqSpec:
     @property
     def scale_bits(self):
         return self.q1 + self.q2
+
+    @property
+    def stages(self):
+        return [(SEC_MSVQ_I1, self.q1 * self.l), (SEC_MSVQ_I2, self.q2 * self.l)]
+
+    def check(self, cb):
+        _require(cb, MsvqCodebook, self.kind)
+        if (cb.q1, cb.q2, cb.l) != (self.q1, self.q2, self.l):
+            raise ContractViolationError("MSVQ geometry mismatch")
+
+    def train(self, x, profile, trainer, trials, stop, seed):
+        cb = msvq.train_msvq(
+            _vectors(x, profile, self.l), self.q1, self.q2, trainer, stop,
+            seed, trials,
+        )
+        log.info("stage-1 distortion %.6g; %d stage-2 codebooks",
+                 cb.stage1.training_meta.final_distortion, len(cb.stage2))
+        return cb
+
+    def tables(self, cb):
+        pooled = np.sum([c.usage_counts for c in cb.stage2], axis=0)
+        return [
+            ec.table_from_counts(cb.stage1.usage_counts, cb.stage1.size),
+            ec.table_from_counts(pooled, cb.stage2[0].size),
+        ]
+
+    def search(self, cb, vecs, counter):
+        return quantize_msvq(cb, vecs, counter)
+
+    def reconstruct(self, cb, i1, i2):
+        return dequantize_msvq(cb, i1, i2)
+
+    def save(self, cb, path, q0):
+        msvq.save_msvq(cb, path)
+
+    def load(self, path):
+        return msvq.load_msvq(path)
 
 
 @dataclass
@@ -137,6 +285,86 @@ class UpmgqSpec:
     def config(self, q0: int) -> UpmgqConfig:
         return UpmgqConfig(self.theta, self.q_high, self.l, self.q_low, q0)
 
+    def check(self, cb):
+        _require(cb, UpmgqCodebook, self.kind)
+        if cb.theta != self.theta or cb.q_low != self.q_low:
+            raise ContractViolationError("UPMGQ geometry mismatch")
+        if cb.high_vq.l_vq != self.l or cb.high_vq.q_vq != self.q_high:
+            raise ContractViolationError("UPMGQ G2 geometry mismatch")
+
+    def train(self, x, profile, trainer, trials, stop, seed):
+        cb = upmgq.train_upmgq(
+            x, self.config(profile.q0), trainer, stop, seed, trials
+        )
+        log.info("G2 distortion %.6g", cb.high_vq.training_meta.final_distortion)
+        return cb
+
+    def quantize(self, x, profile, cb, bits, counter):
+        g2, g3 = (None, None) if counter is None else (
+            SearchCounter(), SearchCounter()
+        )
+        ind = quantize_upmgq(cb, self.config(profile.q0), x, g2, g3)
+        n = ind.component_count
+        bits.sections += [
+            Section(SEC_SIGN, n, n, pack_bit_array(ind.sign_negative)),
+            _index_section(
+                SEC_G2, ind.g2_indices, cb.huffman_high,
+                self.q_high * self.l, profile.entropy_coding,
+            ),
+            self._g3_section(ind.g3_codes),
+        ]
+        stats = bits.stats
+        stats.n_vectors = len(ind.g2_indices)
+        stats.stored_codewords = cb.high_vq.size + len(cb.low_sq)
+        if counter is not None:
+            counter.add(g2.distance_evals, g2.items)
+            counter.add(g3.distance_evals, g3.items)
+            stats.search_counters.update(upmgq_g2=g2, upmgq_g3=g3)
+
+    def _g3_section(self, codes):
+        if self.g3_entropy:
+            table = ec.build_huffman(ec.estimate_pmf(codes, 1 << self.q_low))
+            head = ec.serialize_table(table)
+            payload, bits = ec.encode(table, codes)
+            return Section(
+                SEC_G3, len(codes), len(head) * 8 + bits, head + payload
+            )
+        if self.q_low == 0:
+            return Section(SEC_G3, len(codes), 0, b"")
+        payload, bits = pack_fixed(codes, self.q_low)
+        return Section(SEC_G3, len(codes), bits, payload)
+
+    def dequantize(self, bits, profile, cb, rate):
+        n = 2 * bits.m_dec
+        signs = unpack_bit_array(bits.section(SEC_SIGN, n).payload, n)
+        g2 = _decode_index_section(
+            bits, SEC_G2, cb.huffman_high, self.q_high * self.l,
+            profile.entropy_coding, self.l,
+        )
+        g3 = self._decode_g3(bits.section(SEC_G3, n), n)
+        ind = UpmgqIndices(signs.astype(np.uint8), g2, g3, n)
+        return dequantize_upmgq(cb, self.config(profile.q0), ind, rate)
+
+    def _decode_g3(self, sec, n: int) -> np.ndarray:
+        if self.g3_entropy:
+            table, consumed = ec.parse_table(sec.payload)
+            return ec.decode(table, sec.payload[consumed:], n)
+        if self.q_low == 0:
+            return np.zeros(n, dtype=np.int64)
+        return unpack_fixed(sec.payload, self.q_low, n).astype(np.int64)
+
+    def gain_stats(self, stats, q0):
+        n_comp = max(stats.section_bits.get(SEC_SIGN, 0), 1)
+        stats.l_high = stats.section_bits[SEC_G2] / max(stats.n_vectors, 1)
+        stats.l_low = stats.section_bits[SEC_G3] / n_comp
+        stats.quantizer_gain = upmgq.cr_upmgq(stats.l_high, self.l, stats.l_low, q0)
+
+    def save(self, cb, path, q0):
+        upmgq.save_upmgq(cb, self.config(q0), path)
+
+    def load(self, path):
+        return upmgq.load_upmgq(path)[0]
+
 
 @dataclass
 class RawSpec:
@@ -147,6 +375,40 @@ class RawSpec:
     @property
     def scale_bits(self):
         return 15
+
+    def check(self, cb):
+        if cb is not None:
+            raise ContractViolationError("raw profile takes no codebook")
+
+    def train(self, x, profile, trainer, trials, stop, seed):
+        return None
+
+    def quantize(self, x, profile, cb, bits, counter):
+        comps = np.concatenate([x.samples.real, x.samples.imag])
+        peak = float(np.max(np.abs(comps))) if comps.size else 0.0
+        half = 1 << (profile.q0 - 1)
+        bits.raw_scale = (half - 1) / peak if peak > 0 else 1.0
+        codes = np.round(comps * bits.raw_scale).astype(np.int64) + half
+        codes = np.clip(codes, 0, 2 * half - 1)
+        payload, nbits = pack_fixed(codes, profile.q0)
+        bits.sections.append(Section(SEC_RAW, len(codes), nbits, payload))
+        bits.stats.n_vectors = len(codes)
+
+    def dequantize(self, bits, profile, cb, rate):
+        m = bits.m_dec
+        sec = bits.section(SEC_RAW, 2 * m)
+        half = 1 << (profile.q0 - 1)
+        codes = unpack_fixed(sec.payload, profile.q0, sec.item_count)
+        comps = (codes.astype(np.float64) - half) / bits.raw_scale
+        return IQStream(comps[:m] + 1j * comps[m:], rate)
+
+    def gain_stats(self, stats, q0):
+        stats.quantizer_gain = 1.0
+
+    def save(self, *args):
+        raise ContractViolationError("raw profiles take no codebook")
+
+    load = save
 
 
 @dataclass
@@ -303,11 +565,19 @@ class Bitstream:
     sections: list
     stats: StageStats = None  # attached accounting, not serialized
 
-    def section(self, kind: int) -> Section:
-        for s in self.sections:
-            if s.kind == kind:
-                return s
-        raise MalformedBitstreamError(f"missing section kind {kind}")
+    def section(self, kind: int, count: int = None) -> Section:
+        """The section of `kind`; with `count`, it must hold that many items,
+        the count the header implies."""
+        by_kind = {s.kind: s for s in self.sections}
+        if kind not in by_kind:
+            raise MalformedBitstreamError(f"missing section kind {kind}")
+        sec = by_kind[kind]
+        if count is not None and sec.item_count != count:
+            raise MalformedBitstreamError(
+                f"section kind {kind} holds {sec.item_count} items, "
+                f"expected {count}"
+            )
+        return sec
 
     def to_bytes(self) -> bytes:
         head = CPZ1_MAGIC + struct.pack(
@@ -352,6 +622,8 @@ class Bitstream:
             if off + 20 > len(data):
                 raise MalformedBitstreamError("truncated section descriptors")
             kind, count, bits = struct.unpack_from("<B3xQQ", data, off)
+            if kind in (d[0] for d in descs):
+                raise MalformedBitstreamError(f"duplicate section kind {kind}")
             descs.append((kind, count, bits))
             off += 20
         sections = []
@@ -372,17 +644,6 @@ class Bitstream:
         )
 
 
-def _vq_table(codebook: Codebook) -> ec.HuffmanTable:
-    return ec.table_from_counts(codebook.usage_counts, codebook.size)
-
-
-def _msvq_tables(cb: MsvqCodebook):
-    t1 = ec.table_from_counts(cb.stage1.usage_counts, cb.stage1.size)
-    pooled = np.sum([c.usage_counts for c in cb.stage2], axis=0)
-    t2 = ec.table_from_counts(pooled, cb.stage2[0].size)
-    return t1, t2
-
-
 def _index_section(kind, indices, table, fixed_width, use_ec):
     if use_ec:
         payload, bits = ec.encode(table, indices)
@@ -391,54 +652,21 @@ def _index_section(kind, indices, table, fixed_width, use_ec):
     return Section(kind, len(indices), bits, payload)
 
 
-def _decode_index_section(sec, table, fixed_width, use_ec):
+def _decode_index_section(bits, kind, table, fixed_width, use_ec, l):
+    """Indices of section `kind`: one per l-component vector of the header's
+    2 M_dec components."""
+    n = -(-2 * bits.m_dec // l)
+    sec = bits.section(kind, n)
     if use_ec:
-        return ec.decode(table, sec.payload, sec.item_count)
-    return unpack_fixed(sec.payload, fixed_width, sec.item_count).astype(
-        np.int64
-    )
+        return ec.decode(table, sec.payload, n)
+    return unpack_fixed(sec.payload, fixed_width, n).astype(np.int64)
 
 
-def _check_geometry(profile, codebooks):
-    q = profile.quantizer
-    if q.kind == "vq":
-        if not isinstance(codebooks, Codebook):
-            raise ContractViolationError("vq profile needs a Codebook")
-        if (codebooks.l_vq, codebooks.q_vq) != (q.l_vq, q.q_vq):
-            raise ContractViolationError(
-                f"codebook geometry ({codebooks.l_vq},{codebooks.q_vq}) != "
-                f"profile ({q.l_vq},{q.q_vq})"
-            )
-    elif q.kind == "msvq":
-        if not isinstance(codebooks, MsvqCodebook):
-            raise ContractViolationError("msvq profile needs an MsvqCodebook")
-        if (codebooks.q1, codebooks.q2, codebooks.l) != (q.q1, q.q2, q.l):
-            raise ContractViolationError("MSVQ geometry mismatch")
-    elif q.kind == "upmgq":
-        if not isinstance(codebooks, UpmgqCodebook):
-            raise ContractViolationError("upmgq profile needs an UpmgqCodebook")
-        if codebooks.theta != q.theta or codebooks.q_low != q.q_low:
-            raise ContractViolationError("UPMGQ geometry mismatch")
-        if codebooks.high_vq.l_vq != q.l or codebooks.high_vq.q_vq != q.q_high:
-            raise ContractViolationError("UPMGQ G2 geometry mismatch")
-    elif q.kind == "raw":
-        if codebooks is not None:
-            raise ContractViolationError("raw profile takes no codebook")
-    else:
-        raise ContractViolationError(f"unknown quantizer kind {q.kind!r}")
-
-
-def compress(
-    stream: IQStream,
-    profile: CompressionProfile,
-    codebooks=None,
-    counter: SearchCounter = None,
-) -> Bitstream:
-    """Run the full chain and emit a framed bitstream with attached stats."""
-    _check_geometry(profile, codebooks)
-    stats = StageStats(m_in=len(stream), q0=profile.q0)
+def _frontend(stream: IQStream, profile: CompressionProfile, stats: StageStats):
+    """CP removal -> resampling -> block scaling, recording sample counts and
+    stage gains in `stats`; returns the quantizer input and the block-scale
+    factors (None without block scaling)."""
     x = stream
-
     if profile.cp_removal:
         x = frontend.remove_cp(x, profile.l_sym, profile.l_cp)
         stats.cr_cpr = frontend.cp_removal_gain(profile.l_sym, profile.l_cp)
@@ -449,101 +677,48 @@ def compress(
         stats.cr_dec = profile.decimation.decimation_gain
     stats.m_dec = len(x)
 
-    sections = []
+    factors = None
     if profile.block_scaling is not None:
         bs = profile.block_scaling
         x, factors = frontend.block_scale(
             x, bs.n_bs, bs.q_bs, profile.quantizer.scale_bits
         )
+    return x, factors
+
+
+def frontend_transform(stream: IQStream, profile: CompressionProfile) -> IQStream:
+    """Run the pre-quantizer stages only (CP removal, decimation, block
+    scaling); this is the domain codebooks are trained in."""
+    return _frontend(stream, profile, StageStats())[0]
+
+
+def compress(
+    stream: IQStream,
+    profile: CompressionProfile,
+    codebooks=None,
+    counter: SearchCounter = None,
+) -> Bitstream:
+    """Run the full chain and emit a framed bitstream with attached stats."""
+    q = profile.quantizer
+    q.check(codebooks)
+    stats = StageStats(m_in=len(stream), q0=profile.q0)
+    x, factors = _frontend(stream, profile, stats)
+    bits = Bitstream(
+        profile.digest(), len(stream), stats.m_dec, stream.sample_rate,
+        profile.vector_seed, 0.0, [], stats,
+    )
+    if factors is not None:
         sec = _scale_section(factors, profile.entropy_coding)
-        sections.append(sec)
+        bits.sections.append(sec)
         stats.side_info_bits = sec.bit_length
         stats.bs_bits_emitted = sec.bit_length / max(sec.item_count, 1)
 
-    raw_scale = 0.0
-    q = profile.quantizer
-    if q.kind == "vq":
-        batch = vectorize(x, profile.vector_method, q.l_vq, profile.vector_seed)
-        idx = vq_core.quantize_batch(codebooks, batch.vectors, counter)
-        stats.n_vectors = len(idx)
-        sections.append(
-            _index_section(
-                SEC_VQ_IDX, idx, _vq_table(codebooks) if profile.entropy_coding
-                else None, q.l_vq * q.q_vq, profile.entropy_coding,
-            )
-        )
-        stats.stored_codewords = codebooks.size
-        if counter is not None:
-            stats.search_counters["vq"] = counter
-    elif q.kind == "msvq":
-        batch = vectorize(x, profile.vector_method, q.l, profile.vector_seed)
-        i1, i2 = quantize_msvq(codebooks, batch.vectors, counter)
-        stats.n_vectors = len(i1)
-        t1, t2 = _msvq_tables(codebooks) if profile.entropy_coding else (None, None)
-        sections.append(
-            _index_section(SEC_MSVQ_I1, i1, t1, q.q1 * q.l, profile.entropy_coding)
-        )
-        sections.append(
-            _index_section(SEC_MSVQ_I2, i2, t2, q.q2 * q.l, profile.entropy_coding)
-        )
-        stats.stored_codewords = codebooks.stored_codewords
-        if counter is not None:
-            stats.search_counters["msvq"] = counter
-    elif q.kind == "upmgq":
-        cfg = q.config(profile.q0)
-        g2_counter = SearchCounter() if counter is not None else None
-        g3_counter = SearchCounter() if counter is not None else None
-        ind = _quantize_upmgq_counted(codebooks, cfg, x, g2_counter, g3_counter)
-        stats.n_vectors = len(ind.g2_indices)
-        sections.append(
-            Section(
-                SEC_SIGN,
-                ind.component_count,
-                ind.component_count,
-                pack_bit_array(ind.sign_negative),
-            )
-        )
-        sections.append(
-            _index_section(
-                SEC_G2, ind.g2_indices, codebooks.huffman_high,
-                q.q_high * q.l, profile.entropy_coding,
-            )
-        )
-        sections.append(_g3_section(ind.g3_codes, q))
-        if counter is not None:
-            counter.add(g2_counter.distance_evals, g2_counter.items)
-            counter.add(g3_counter.distance_evals, g3_counter.items)
-            stats.search_counters["upmgq_g2"] = g2_counter
-            stats.search_counters["upmgq_g3"] = g3_counter
-        stats.stored_codewords = codebooks.high_vq.size + len(codebooks.low_sq)
-    else:  # raw q0-bit fixed-point passthrough
-        comps = np.concatenate([x.samples.real, x.samples.imag])
-        peak = float(np.max(np.abs(comps))) if comps.size else 0.0
-        half = 1 << (profile.q0 - 1)
-        raw_scale = (half - 1) / peak if peak > 0 else 1.0
-        codes = np.round(comps * raw_scale).astype(np.int64) + half
-        codes = np.clip(codes, 0, 2 * half - 1)
-        payload, bits = pack_fixed(codes, profile.q0)
-        sections.append(Section(SEC_RAW, len(codes), bits, payload))
-        stats.n_vectors = len(codes)
+    q.quantize(x, profile, codebooks, bits, counter)
 
-    stats.section_bits = {s.kind: s.bit_length for s in sections}
-    stats.quantizer_bits = sum(
-        s.bit_length for s in sections if s.kind != SEC_SCALE
-    )
-    stats.payload_bits = stats.quantizer_bits + stats.side_info_bits
-    _fill_gain_stats(stats, profile)
-
-    bits = Bitstream(
-        profile.digest(),
-        len(stream),
-        stats.m_dec,
-        stream.sample_rate,
-        profile.vector_seed,
-        raw_scale,
-        sections,
-        stats,
-    )
+    stats.section_bits = {s.kind: s.bit_length for s in bits.sections}
+    stats.payload_bits = sum(stats.section_bits.values())
+    stats.quantizer_bits = stats.payload_bits - stats.side_info_bits
+    q.gain_stats(stats, profile.q0)
     return bits
 
 
@@ -581,10 +756,6 @@ def _decode_scale_section(
     sec: Section, bs: BlockScalingSpec, use_ec: bool, n_blocks: int
 ) -> frontend.ScaleFactors:
     """Inverse of _scale_section; any inconsistency is a malformed stream."""
-    if sec.item_count != n_blocks:
-        raise MalformedBitstreamError(
-            f"scale section holds {sec.item_count} factors, expected {n_blocks}"
-        )
     if not use_ec or n_blocks == 0:
         f = unpack_fixed(sec.payload, bs.q_bs, n_blocks)
         if f.size and int(f.min()) < 1:
@@ -608,59 +779,6 @@ def _decode_scale_section(
         codes = pack_bit_array(bits[head + 8 * (hi - lo + 1) :])
         f = ec.decode(table, codes, n_blocks) + lo
     return frontend.ScaleFactors(bs.n_bs, bs.q_bs, f)
-
-
-def _quantize_upmgq_counted(cb, cfg, x, g2_counter, g3_counter):
-    # quantize_upmgq counts G2 per vector and G3 per component in one
-    # counter; split the sections so each amortizes over its own unit.
-    if g2_counter is None:
-        return quantize_upmgq(cb, cfg, x)
-    ind = quantize_upmgq(cb, cfg, x)
-    n_vec = len(ind.g2_indices)
-    g2_counter.add(cb.high_vq.size * n_vec, n_vec)
-    g3_counter.add(len(cb.low_sq) * ind.component_count, ind.component_count)
-    return ind
-
-
-def _g3_section(codes, q: UpmgqSpec) -> Section:
-    if q.g3_entropy:
-        table = ec.build_huffman(ec.estimate_pmf(codes, 1 << q.q_low))
-        head = ec.serialize_table(table)
-        payload, bits = ec.encode(table, codes)
-        return Section(
-            SEC_G3, len(codes), len(head) * 8 + bits, head + payload
-        )
-    if q.q_low == 0:
-        return Section(SEC_G3, len(codes), 0, b"")
-    payload, bits = pack_fixed(codes, q.q_low)
-    return Section(SEC_G3, len(codes), bits, payload)
-
-
-def _fill_gain_stats(stats: StageStats, profile: CompressionProfile):
-    q = profile.quantizer
-    q0 = profile.q0
-    if q.kind == "raw":
-        stats.quantizer_gain = 1.0
-        return
-    if q.kind == "upmgq":
-        n_vec = max(stats.n_vectors, 1)
-        n_comp = max(stats.section_bits.get(SEC_SIGN, 0), 1)
-        stats.l_high = stats.section_bits[SEC_G2] / n_vec
-        stats.l_low = stats.section_bits[SEC_G3] / n_comp
-        stats.quantizer_gain = q0 / (1.0 + stats.l_high / q.l + stats.l_low)
-        return
-    if q.kind == "vq":
-        l, width = q.l_vq, q.l_vq * q.q_vq
-        idx_bits = stats.section_bits[SEC_VQ_IDX]
-    else:
-        l, width = q.l, (q.q1 + q.q2) * q.l
-        idx_bits = stats.section_bits[SEC_MSVQ_I1] + stats.section_bits[SEC_MSVQ_I2]
-    stats.l_huff_emitted = idx_bits / max(stats.n_vectors, 1)
-    stats.cr_vq = q0 * l / width
-    stats.cr_ec = (
-        width / stats.l_huff_emitted if stats.l_huff_emitted > 0 else 1.0
-    )
-    stats.quantizer_gain = stats.cr_vq * stats.cr_ec
 
 
 def theorem_cr(
@@ -701,7 +819,7 @@ def decompress(
     bits, profile: CompressionProfile, codebooks=None
 ) -> IQStream:
     """Inverse chain; output has the original sample count and rate."""
-    _check_geometry(profile, codebooks)
+    profile.quantizer.check(codebooks)
     if isinstance(bits, (bytes, bytearray)):
         bits = Bitstream.from_bytes(bytes(bits))
     if bits.profile_digest != profile.digest():
@@ -724,65 +842,16 @@ def decompress(
                 "decimated sample count does not match the symbol count"
             )
 
-    q = profile.quantizer
-    if q.kind == "vq":
-        sec = bits.section(SEC_VQ_IDX)
-        idx = _decode_index_section(
-            sec, _vq_table(codebooks) if profile.entropy_coding else None,
-            q.l_vq * q.q_vq, profile.entropy_coding,
-        )
-        vecs = vq_core.dequantize_batch(codebooks, idx)
-        batch = VectorBatch(
-            q.l_vq, vecs, profile.vector_method,
-            permutation_seed=bits.perm_seed, original_count=2 * bits.m_dec,
-        )
-        x = devectorize(batch, rate_dec)
-    elif q.kind == "msvq":
-        t1, t2 = _msvq_tables(codebooks) if profile.entropy_coding else (None, None)
-        i1 = _decode_index_section(
-            bits.section(SEC_MSVQ_I1), t1, q.q1 * q.l, profile.entropy_coding
-        )
-        i2 = _decode_index_section(
-            bits.section(SEC_MSVQ_I2), t2, q.q2 * q.l, profile.entropy_coding
-        )
-        vecs = dequantize_msvq(codebooks, i1, i2)
-        batch = VectorBatch(
-            q.l, vecs, profile.vector_method,
-            permutation_seed=bits.perm_seed, original_count=2 * bits.m_dec,
-        )
-        x = devectorize(batch, rate_dec)
-    elif q.kind == "upmgq":
-        cfg = q.config(profile.q0)
-        sign_sec = bits.section(SEC_SIGN)
-        n_comp = sign_sec.item_count
-        if n_comp != 2 * bits.m_dec:
-            raise MalformedBitstreamError("sign section count mismatch")
-        signs = unpack_bit_array(sign_sec.payload, sign_sec.bit_length)
-        g2 = _decode_index_section(
-            bits.section(SEC_G2), codebooks.huffman_high,
-            q.q_high * q.l, profile.entropy_coding,
-        )
-        g3 = _decode_g3(bits.section(SEC_G3), q)
-        ind = UpmgqIndices(signs.astype(np.uint8), g2, g3, n_comp)
-        x = dequantize_upmgq(codebooks, cfg, ind, rate_dec)
-    else:
-        sec = bits.section(SEC_RAW)
-        if sec.item_count != 2 * bits.m_dec:
-            raise MalformedBitstreamError("raw section count mismatch")
-        half = 1 << (profile.q0 - 1)
-        codes = unpack_fixed(sec.payload, profile.q0, sec.item_count)
-        comps = (codes.astype(np.float64) - half) / bits.raw_scale
-        m = bits.m_dec
-        x = IQStream(comps[:m] + 1j * comps[m:], rate_dec)
-
+    x = profile.quantizer.dequantize(bits, profile, codebooks, rate_dec)
     if len(x) != bits.m_dec:
         raise MalformedBitstreamError("reconstructed sample count mismatch")
 
     if profile.block_scaling is not None:
         bs = profile.block_scaling
+        n_blocks = -(-bits.m_dec // bs.n_bs)
         factors = _decode_scale_section(
-            bits.section(SEC_SCALE), bs, profile.entropy_coding,
-            -(-bits.m_dec // bs.n_bs),
+            bits.section(SEC_SCALE, n_blocks), bs, profile.entropy_coding,
+            n_blocks,
         )
         x = frontend.block_unscale(x, factors, profile.quantizer.scale_bits)
 
@@ -799,37 +868,6 @@ def decompress(
     return x
 
 
-def _decode_g3(sec: Section, q: UpmgqSpec) -> np.ndarray:
-    if q.g3_entropy:
-        table, consumed = ec.parse_table(sec.payload)
-        return ec.decode(table, sec.payload[consumed:], sec.item_count)
-    if q.q_low == 0:
-        return np.zeros(sec.item_count, dtype=np.int64)
-    return unpack_fixed(sec.payload, q.q_low, sec.item_count).astype(np.int64)
-
-
-def strip_cp(stream: IQStream, l_sym: int, l_cp: int) -> IQStream:
-    """Helper for frequency-domain metrics: drop CPs so symbols align on
-    fft_size boundaries."""
-    return frontend.remove_cp(stream, l_sym, l_cp)
-
-
-def frontend_transform(stream: IQStream, profile: CompressionProfile) -> IQStream:
-    """Run the pre-quantizer stages only (CP removal, decimation, block
-    scaling); this is the domain codebooks are trained in."""
-    x = stream
-    if profile.cp_removal:
-        x = frontend.remove_cp(x, profile.l_sym, profile.l_cp)
-    if profile.decimation is not None:
-        x = _resample(x, profile, frontend.DECIMATE)
-    if profile.block_scaling is not None:
-        bs = profile.block_scaling
-        x, _ = frontend.block_scale(
-            x, bs.n_bs, bs.q_bs, profile.quantizer.scale_bits
-        )
-    return x
-
-
 def train_for_profile(
     stream: IQStream,
     profile: CompressionProfile,
@@ -839,26 +877,11 @@ def train_for_profile(
     seed: int = 0,
 ):
     """Train the codebook artifact the profile's quantizer needs, on the
-    profile's post-frontend domain."""
-    from .msvq import train_msvq
-    from .upmgq import train_upmgq
-
-    x = frontend_transform(stream, profile)
-    q = profile.quantizer
-    if q.kind == "vq":
-        batch = vectorize(x, profile.vector_method, q.l_vq, profile.vector_seed)
-        train = (
-            vq_core.train_classical
-            if trainer == vq_core.CLASSICAL
-            else vq_core.train_modified
-        )
-        return train(batch.vectors, q.q_vq, trials, stop, seed)
-    if q.kind == "msvq":
-        batch = vectorize(x, profile.vector_method, q.l, profile.vector_seed)
-        return train_msvq(batch.vectors, q.q1, q.q2, trainer, stop, seed, trials)
-    if q.kind == "upmgq":
-        return train_upmgq(x, q.config(profile.q0), trainer, stop, seed, trials)
-    raise ContractViolationError(f"quantizer {q.kind!r} needs no training")
+    profile's post-frontend domain (None for the raw passthrough)."""
+    return profile.quantizer.train(
+        frontend_transform(stream, profile), profile, trainer, trials, stop,
+        seed,
+    )
 
 
 def evaluate_chain(
@@ -876,8 +899,8 @@ def evaluate_chain(
     td = evm_td(stream, out)
     step = profile.l_sym + profile.l_cp
     if len(stream) % step == 0 and len(stream) > 0:
-        fd_in = strip_cp(stream, profile.l_sym, profile.l_cp)
-        fd_out = strip_cp(out, profile.l_sym, profile.l_cp)
+        fd_in = frontend.remove_cp(stream, profile.l_sym, profile.l_cp)
+        fd_out = frontend.remove_cp(out, profile.l_sym, profile.l_cp)
         fd = evm_fd(fd_in, fd_out, profile.utilized_band(), profile.l_sym)
     else:
         fd = float("nan")

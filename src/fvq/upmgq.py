@@ -181,8 +181,13 @@ def quantize_upmgq(
     cfg: UpmgqConfig,
     stream: IQStream,
     counter: SearchCounter = None,
+    g3_counter: SearchCounter = None,
 ) -> UpmgqIndices:
-    """Quantize a normalized stream into (G1, G2, G3) index groups."""
+    """Quantize a normalized stream into (G1, G2, G3) index groups.
+
+    G2 searches (one per vector) are counted into `counter`, G3 searches
+    (one per component) into `g3_counter`, or into `counter` too when
+    `g3_counter` is None."""
     if len(stream) == 0:
         raise ContractViolationError("empty stream")
     comps = np.concatenate([stream.samples.real, stream.samples.imag])
@@ -194,7 +199,10 @@ def quantize_upmgq(
     g3 = np.argmin(np.abs(low[:, None] - cb.low_sq[None, :]), axis=1)
     if counter is not None:
         counter.add(cb.high_vq.size * len(batch.vectors), len(batch.vectors))
-        counter.add(len(cb.low_sq) * len(comps), len(comps))
+    if g3_counter is None:
+        g3_counter = counter
+    if g3_counter is not None:
+        g3_counter.add(len(cb.low_sq) * len(comps), len(comps))
     return UpmgqIndices(
         neg.astype(np.uint8), g2, g3.astype(np.int64), len(comps)
     )

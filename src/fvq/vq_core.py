@@ -114,6 +114,10 @@ class Codebook:
     def size(self) -> int:
         return len(self.codewords)
 
+    @property
+    def stored_codewords(self) -> int:
+        return self.size
+
 
 def codebook_size(l_vq: int, q_vq: int) -> int:
     # q_vq = 0 (a single codeword) is allowed for degenerate stages.

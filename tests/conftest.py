@@ -67,7 +67,9 @@ def seeded_codebooks(quantizer, seed=0):
         # each cell refines around its stage-1 codeword
         cell = span / 2 ** q.q1
         stage2 = [
-            codebook(q.l, q.q2, lambda shape, c=c: c + rng.uniform(-cell, cell, shape))
+            codebook(
+                q.l, q.q2, lambda shape, c=c: c + rng.uniform(-cell, cell, shape)
+            )
             for c in stage1.codewords
         ]
         return fvq.MsvqCodebook(stage1, stage2, q.l, q.q1, q.q2)

@@ -218,14 +218,14 @@ LADDER = [
 
 def test_criterion_4_decimation_ladder():
     corpus = make_corpus(64, seed=11)
-    stripped_in = pipeline.strip_cp(corpus, 1024, 128)
+    stripped_in = frontend.remove_cp(corpus, 1024, 128)
     measured = []
     for (k, l), _paper in LADDER:
         spec = fvq.ResamplerSpec(k, l)
         dec = frontend.resample(corpus, spec, frontend.DECIMATE)
         rec = frontend.resample(dec, spec, frontend.INTERPOLATE)
         rec = rec.with_samples(rec.samples[: len(corpus)], corpus.sample_rate)
-        stripped_out = pipeline.strip_cp(rec, 1024, 128)
+        stripped_out = frontend.remove_cp(rec, 1024, 128)
         measured.append(metrics.evm_fd(stripped_in, stripped_out, BAND, 1024))
     ok = True
     lines = []

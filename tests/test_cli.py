@@ -6,6 +6,7 @@ import pytest
 
 from fvq import cli
 from fvq.iqstream import read_iqf1
+from fvq.pipeline import SEC_VQ_IDX, Bitstream
 
 
 @pytest.fixture
@@ -61,15 +62,30 @@ class TestGen:
         assert meta["resolved_config"]["waveform"]["num_symbols"] == 10
 
 
+QUANTIZERS = [
+    {"kind": "vq", "l_vq": 2, "q_vq": 4},
+    {"kind": "msvq", "q1": 2, "q2": 2, "l": 2},
+    {"kind": "upmgq", "theta": 0, "q_high": 3, "l": 2, "q_low": 3,
+     "q_scale": 5},
+]
+
+
 class TestTrainCompressDecompress:
-    def test_full_cycle(self, profile_path, tmp_path, capsys):
+    @pytest.mark.parametrize("quantizer", QUANTIZERS,
+                             ids=[q["kind"] for q in QUANTIZERS])
+    def test_full_cycle(self, profile_path, tmp_path, capsys, quantizer):
+        config = json.loads(profile_path.read_text())
+        config["quantizer"] = quantizer
+        profile_path.write_text(json.dumps(config))
         corpus = tmp_path / "c.iqf"
-        cb = tmp_path / "cb.vqcb"
+        cb, cb_again = tmp_path / "cb.bin", tmp_path / "cb_again.bin"
         cpz = tmp_path / "c.cpz"
         rec = tmp_path / "rec.iqf"
         assert _run("gen", "--profile", profile_path, "--out", corpus) == 0
-        assert _run("train", "--profile", profile_path, "--in", corpus,
-                    "--out", cb) == 0
+        for out in (cb, cb_again):
+            assert _run("train", "--profile", profile_path, "--in", corpus,
+                        "--out", out) == 0
+        assert cb.read_bytes() == cb_again.read_bytes()
         assert _run("compress", "--profile", profile_path, "--codebook", cb,
                     "--in", corpus, "--out", cpz) == 0
         out = capsys.readouterr().out
@@ -81,14 +97,6 @@ class TestTrainCompressDecompress:
                     "--in", cpz, "--out", rec) == 0
         assert len(read_iqf1(rec)) == len(read_iqf1(corpus))
 
-    def test_trained_artifact_stable(self, profile_path, tmp_path):
-        corpus = tmp_path / "c.iqf"
-        cb1, cb2 = tmp_path / "cb1.vqcb", tmp_path / "cb2.vqcb"
-        _run("gen", "--profile", profile_path, "--out", corpus)
-        _run("train", "--profile", profile_path, "--in", corpus, "--out", cb1)
-        _run("train", "--profile", profile_path, "--in", corpus, "--out", cb2)
-        assert cb1.read_bytes() == cb2.read_bytes()
-
     def test_corrupt_input_exit_code_3(self, profile_path, tmp_path):
         bad = tmp_path / "bad.cpz"
         bad.write_bytes(b"garbage")
@@ -96,6 +104,20 @@ class TestTrainCompressDecompress:
         corpus = tmp_path / "c.iqf"
         _run("gen", "--profile", profile_path, "--out", corpus)
         _run("train", "--profile", profile_path, "--in", corpus, "--out", cb)
+        rc = _run("decompress", "--profile", profile_path, "--codebook", cb,
+                  "--in", bad, "--out", tmp_path / "x.iqf")
+        assert rc == 3
+
+    def test_hostile_index_count_exit_code_3(self, profile_path, tmp_path):
+        corpus, cb = tmp_path / "c.iqf", tmp_path / "cb.vqcb"
+        cpz, bad = tmp_path / "c.cpz", tmp_path / "bad.cpz"
+        _run("gen", "--profile", profile_path, "--out", corpus)
+        _run("train", "--profile", profile_path, "--in", corpus, "--out", cb)
+        _run("compress", "--profile", profile_path, "--codebook", cb,
+             "--in", corpus, "--out", cpz)
+        frame = Bitstream.from_bytes(cpz.read_bytes())
+        frame.section(SEC_VQ_IDX).item_count = 2**40
+        bad.write_bytes(frame.to_bytes())
         rc = _run("decompress", "--profile", profile_path, "--codebook", cb,
                   "--in", bad, "--out", tmp_path / "x.iqf")
         assert rc == 3

@@ -107,6 +107,13 @@ class TestCodec:
         with pytest.raises(MalformedBitstreamError):
             ec.decode(table, payload[:-1], 32)
 
+    def test_count_beyond_payload_bits_raises_before_allocating(self):
+        # every code is at least one bit, so 2^40 symbols cannot be in one
+        # byte; the count is refused before an 8 TiB output is allocated
+        table = ec.build_huffman([0.5, 0.5])
+        with pytest.raises(MalformedBitstreamError, match="exhausted"):
+            ec.decode(table, b"\xff", 2**40)
+
     def test_decode_never_past_declared_count(self):
         table = ec.build_huffman([0.25] * 4)
         payload, _ = ec.encode(table, [1, 2])

@@ -95,11 +95,11 @@ class TestResample:
         dec = frontend.resample(s, spec, frontend.DECIMATE)
         rec = frontend.resample(dec, spec, frontend.INTERPOLATE)
         rec = rec.with_samples(rec.samples[: len(s)])
-        from fvq import metrics, pipeline
+        from fvq import metrics
 
         band = fvq.waveform.subcarrier_indices(1024, 600)
-        a = pipeline.strip_cp(s, 1024, 128)
-        b = pipeline.strip_cp(rec, 1024, 128)
+        a = frontend.remove_cp(s, 1024, 128)
+        b = frontend.remove_cp(rec, 1024, 128)
         assert metrics.evm_fd(a, b, band, 1024) < 2.0
 
     def test_periodic_round_trip_cp_removed_downlink(self):

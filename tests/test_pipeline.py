@@ -22,7 +22,7 @@ from fvq.pipeline import (
     compression_ratio,
     theorem_cr,
 )
-from tests.conftest import make_corpus
+from tests.conftest import make_corpus, seeded_codebooks
 
 
 class TestProfile:
@@ -222,8 +222,8 @@ class TestRoundTrip:
         ))
         out = pipeline.decompress(pipeline.compress(s, prof).to_bytes(), prof)
         band = prof.utilized_band()
-        evm = fvq.evm_fd(pipeline.strip_cp(s, 1024, 128),
-                         pipeline.strip_cp(out, 1024, 128), band, 1024)
+        evm = fvq.evm_fd(frontend.remove_cp(s, 1024, 128),
+                         frontend.remove_cp(out, 1024, 128), band, 1024)
         assert evm < 0.1
 
 
@@ -327,6 +327,38 @@ class TestScaleSection:
         bad = self._corrupt(coded, case)
         with pytest.raises(MalformedBitstreamError, match=message):
             pipeline.decompress(bad, small_uplink_profile, small_vq_codebook)
+
+
+UPMGQ = dict(theta=0, q_high=3, l=2, q_low=3, q_scale=5)
+
+
+class TestHostileIndexCount:
+    """A section whose descriptor claims 2^40 items is refused from the
+    header's sample count, not decoded into an 8 TiB array."""
+
+    @pytest.mark.parametrize("quantizer,kind", [
+        (VqSpec(2, 4), pipeline.SEC_VQ_IDX),
+        (MsvqSpec(2, 2, 2), pipeline.SEC_MSVQ_I1),
+        (MsvqSpec(2, 2, 2), pipeline.SEC_MSVQ_I2),
+        (UpmgqSpec(**UPMGQ), pipeline.SEC_SIGN),
+        (UpmgqSpec(**UPMGQ), pipeline.SEC_G2),
+        (UpmgqSpec(**UPMGQ), pipeline.SEC_G3),
+        (UpmgqSpec(**{**UPMGQ, "q_low": 0}), pipeline.SEC_G3),
+    ], ids=["vq-2", "msvq-3", "msvq-4", "upmgq-5", "upmgq-6", "upmgq-7",
+            "upmgq-q_low-0-7"])
+    @pytest.mark.parametrize("use_ec", [True, False], ids=["ec", "fixed"])
+    def test_huge_count_is_malformed(self, uplink_corpus, quantizer, kind,
+                                     use_ec):
+        prof = CompressionProfile(
+            link="uplink", decimation=fvq.ResamplerSpec(5, 8),
+            block_scaling=BlockScalingSpec(32, 8), quantizer=quantizer,
+            entropy_coding=use_ec,
+        )
+        cb = seeded_codebooks(quantizer, seed=8)
+        frame = pipeline.compress(uplink_corpus, prof, cb)
+        frame.section(kind).item_count = 2**40
+        with pytest.raises(MalformedBitstreamError, match="expected"):
+            pipeline.decompress(frame.to_bytes(), prof, cb)
 
 
 class TestAccounting:
