@@ -71,9 +71,37 @@ QUANTIZERS = [
 
 
 class TestTrainCompressDecompress:
+    def test_full_cycle(self, profile_path, tmp_path, capsys):
+        corpus = tmp_path / "c.iqf"
+        cb = tmp_path / "cb.vqcb"
+        cpz = tmp_path / "c.cpz"
+        rec = tmp_path / "rec.iqf"
+        assert _run("gen", "--profile", profile_path, "--out", corpus) == 0
+        assert _run("train", "--profile", profile_path, "--in", corpus,
+                    "--out", cb) == 0
+        assert _run("compress", "--profile", profile_path, "--codebook", cb,
+                    "--in", corpus, "--out", cpz) == 0
+        out = capsys.readouterr().out
+        assert "CR (stage formula)" in out and "CR (measured bits)" in out
+        a = [l for l in out.splitlines() if "CR (stage formula)" in l][0]
+        b = [l for l in out.splitlines() if "CR (measured bits)" in l][0]
+        assert abs(float(a.split(":")[1]) - float(b.split(":")[1])) < 0.05
+        assert _run("decompress", "--profile", profile_path, "--codebook", cb,
+                    "--in", cpz, "--out", rec) == 0
+        assert len(read_iqf1(rec)) == len(read_iqf1(corpus))
+
+    def test_trained_artifact_stable(self, profile_path, tmp_path):
+        corpus = tmp_path / "c.iqf"
+        cb1, cb2 = tmp_path / "cb1.vqcb", tmp_path / "cb2.vqcb"
+        _run("gen", "--profile", profile_path, "--out", corpus)
+        _run("train", "--profile", profile_path, "--in", corpus, "--out", cb1)
+        _run("train", "--profile", profile_path, "--in", corpus, "--out", cb2)
+        assert cb1.read_bytes() == cb2.read_bytes()
+
     @pytest.mark.parametrize("quantizer", QUANTIZERS,
                              ids=[q["kind"] for q in QUANTIZERS])
-    def test_full_cycle(self, profile_path, tmp_path, capsys, quantizer):
+    def test_full_cycle_each_kind(self, profile_path, tmp_path, capsys,
+                                  quantizer):
         config = json.loads(profile_path.read_text())
         config["quantizer"] = quantizer
         profile_path.write_text(json.dumps(config))
