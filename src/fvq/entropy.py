@@ -5,14 +5,32 @@ stays encodable at runtime even if it never occurred in training (evaluation
 streams routinely differ from training streams). Codes are canonical, so a
 table serializes as one code length per symbol. Emitted bit order is
 MSB-first within each byte.
+
+Decoding reads a code at a time, for every bit position at once (Moffat &
+Turpin, "On the implementation of minimum-redundancy prefix codes", 1997).
+Left-justified in 64 bits, the canonical codes of each length occupy one
+range above those of every shorter length, so the length of the code that
+starts at bit p is found by `np.searchsorted` of the 64-bit window at p
+against each length's last left-justified code, and its symbol follows from
+that length's first code and first position in canonical order. Each
+position's successor p + len(p) is known from that alone; composing the
+successor map with itself (pointer doubling) gives the positions of all
+`count` symbols in log2(count) vector steps. The per-length constants are
+computed once per `HuffmanTable`, and `table_from_counts` memoises its
+tables on the counts' content, so a codebook whose usage counts have not
+changed gets the same table, constants included, on every call.
 """
 
+import functools
 import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .bitio import unpack_bit_array
+# bench/tracing.py patches entropy.unpack_bit_array
+from .bitio import unpack_bit_array  # noqa: F401
 from .errors import ContractViolationError, MalformedBitstreamError
 
 
@@ -59,8 +77,46 @@ def _huffman_lengths(pmf: np.ndarray) -> np.ndarray:
     return lengths
 
 
+class _Decoder(NamedTuple):
+    """Canonical decoding constants of one table."""
+
+    order: np.ndarray  # symbols in canonical order (by length, then symbol)
+    lengths: np.ndarray  # code lengths that occur, ascending, then 0
+    last: np.ndarray  # per such length: its last code left-justified, uint64
+    first_code: np.ndarray  # per length 0..max_len: first code, uint64
+    first_pos: np.ndarray  # per length 0..max_len: its first index in order
+    max_len: int
+
+
+def _canonical_decoder(code_lengths) -> _Decoder:
+    lengths = np.asarray(code_lengths, dtype=np.int64)
+    max_len = int(lengths.max())
+    num = np.bincount(lengths, minlength=max_len + 1).tolist()
+    first_code = np.zeros(max_len + 1, dtype=np.uint64)
+    first_pos = np.zeros(max_len + 1, dtype=np.int64)
+    present, last = [], []
+    code = pos = 0
+    for ln in range(1, max_len + 1):
+        first_code[ln], first_pos[ln] = code, pos
+        if num[ln]:
+            code += num[ln]
+            pos += num[ln]
+            present.append(ln)
+            last.append((code << (64 - ln)) - 1)
+        code <<= 1
+    return _Decoder(
+        np.lexsort((np.arange(len(lengths)), lengths)),
+        np.array(present + [0], dtype=np.uint8),
+        np.array(last, dtype=np.uint64),
+        first_code, first_pos, max_len,
+    )
+
+
 @dataclass
 class HuffmanTable:
+    """A canonical code; treat it as immutable, since decoding caches
+    constants derived from `code_lengths`."""
+
     code_lengths: np.ndarray  # (alphabet,) int
     codes: np.ndarray  # (alphabet,) canonical codewords, right-aligned
     avg_length: float  # L_HUFF under the PMF the table was built from
@@ -71,6 +127,10 @@ class HuffmanTable:
 
     def kraft_sum(self) -> float:
         return float(np.sum(2.0 ** (-self.code_lengths.astype(np.float64))))
+
+    @functools.cached_property
+    def _decoder(self) -> _Decoder:
+        return _canonical_decoder(self.code_lengths)
 
 
 def build_huffman(pmf) -> HuffmanTable:
@@ -111,12 +171,25 @@ def canonical_codes(lengths) -> np.ndarray:
 
 
 def table_from_counts(counts, alphabet_size: int) -> HuffmanTable:
-    """Table from raw usage counts (codebook artifacts store these)."""
+    """Table from raw usage counts (codebook artifacts store these).
+
+    Memoised on the counts' content and the alphabet size: equal counts give
+    the same table object, with read-only arrays, and changed counts (even
+    an array changed in place) give a new one.
+    """
     counts = np.asarray(counts, dtype=np.int64)
     flat = np.zeros(alphabet_size, dtype=np.int64)
     flat[: len(counts)] = counts
-    total = flat.sum() + alphabet_size
-    return build_huffman((flat + 1.0) / total)
+    return _table_from_flat_counts(flat.tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _table_from_flat_counts(flat: bytes) -> HuffmanTable:
+    counts = np.frombuffer(flat, dtype=np.int64)
+    table = build_huffman((counts + 1.0) / (counts.sum() + len(counts)))
+    table.code_lengths.setflags(write=False)
+    table.codes.setflags(write=False)
+    return table
 
 
 def encode(table: HuffmanTable, indices) -> tuple[bytes, int]:
@@ -140,17 +213,32 @@ def encode(table: HuffmanTable, indices) -> tuple[bytes, int]:
     return np.packbits(bits).tobytes(), total
 
 
+def _bit_windows(payload: bytes, n: int) -> np.ndarray:
+    """The 64 bits of `payload` starting at each bit 0..n-1, MSB-first, as
+    uint64; bits past the payload's end read as zero."""
+    n_bytes = (n + 7) >> 3
+    data = np.frombuffer(payload, dtype=np.uint8)[: n_bytes + 8]
+    buf = np.zeros(n_bytes + 8, dtype=np.uint8)
+    buf[: len(data)] = data
+    words = sliding_window_view(buf, 8)[:n_bytes].copy().view(">u8")
+    spill = buf[8:, None].astype(np.uint64)  # the byte after each word
+    shift = np.arange(8, dtype=np.uint64)
+    windows = (words.astype(np.uint64) << shift) | (spill >> (8 - shift))
+    return windows.reshape(-1)[:n]
+
+
 def decode(table: HuffmanTable, payload: bytes, count: int) -> np.ndarray:
     """Decode exactly `count` symbols from an MSB-first bit payload.
 
-    Raises MalformedBitstreamError if the payload runs out mid-symbol; extra
-    trailing bits (byte padding) are ignored.
+    Raises MalformedBitstreamError if the payload runs out mid-symbol or
+    holds a bit string that is no code of `table`; extra trailing bits (byte
+    padding) are ignored. Scratch memory is linear in the bits read, at most
+    min(8 * len(payload), count * max code length).
     """
     if count < 0:
         raise ContractViolationError("count must be >= 0")
     if count == 0:
         return np.zeros(0, dtype=np.int64)
-    lengths = table.code_lengths
     if table.alphabet_size == 1:
         return np.zeros(count, dtype=np.int64)
     if count > 8 * len(payload):  # every code is at least one bit long
@@ -158,44 +246,38 @@ def decode(table: HuffmanTable, payload: bytes, count: int) -> np.ndarray:
             f"bit payload exhausted: {8 * len(payload)} bits cannot hold "
             f"{count} symbols"
         )
-    max_len = int(lengths.max())
-    order = np.lexsort((np.arange(len(lengths)), lengths))
-    sorted_lens = lengths[order]
-    # first_code[l], first_pos[l], num[l] over the canonical ordering
-    first_code = [0] * (max_len + 2)
-    first_pos = [0] * (max_len + 2)
-    num = [0] * (max_len + 2)
-    for ln in range(1, max_len + 1):
-        num[ln] = int(np.sum(sorted_lens == ln))
-    code = 0
-    pos = 0
-    for ln in range(1, max_len + 1):
-        first_code[ln] = code
-        first_pos[ln] = pos
-        code = (code + num[ln]) << 1
-        pos += num[ln]
-    bits = unpack_bit_array(payload, min(len(payload) * 8, count * max_len))
-    out = np.empty(count, dtype=np.int64)
-    bi = 0
-    nbits = bits.size
-    for si in range(count):
-        code = 0
-        ln = 0
-        while True:
-            if bi >= nbits:
-                raise MalformedBitstreamError(
-                    f"bit payload exhausted after {si} of {count} symbols"
-                )
-            code = (code << 1) | int(bits[bi])
-            bi += 1
-            ln += 1
-            if ln > max_len:
-                raise MalformedBitstreamError("invalid code in bit payload")
-            off = code - first_code[ln]
-            if 0 <= off < num[ln]:
-                out[si] = order[first_pos[ln] + off]
-                break
-    return out
+    dec = table._decoder
+    # no symbol of the first `count` starts at or after bit n
+    n = min(8 * len(payload), count * dec.max_len)
+    windows = _bit_windows(payload, n)
+    lens = dec.lengths[np.searchsorted(dec.last, windows)]  # 0: no code
+    # jump[p]: the bit after the code at p; `bad` where none fits in n bits
+    bad = n + 1
+    jump = np.arange(n, dtype=np.intp) + lens
+    jump[(lens == 0) | (jump > n)] = bad
+    jump = np.append(jump, [bad, bad])
+    # pos[k]: first bit of symbol k, pos[count] the bit after the last one;
+    # each pass doubles `done` and turns `jump` into a jump over `done` codes
+    pos = np.zeros(count + 1, dtype=np.intp)
+    done = 1
+    while done <= count:
+        step = min(done, count + 1 - done)
+        pos[done : done + step] = jump[pos[:step]]
+        done += step
+        if done <= count:
+            jump = jump[jump]
+    if pos[count] == bad:  # `bad` is absorbing
+        k = int(np.argmax(pos == bad)) - 1
+        p = int(pos[k])
+        if p + dec.max_len <= n and lens[p] == 0:
+            raise MalformedBitstreamError("invalid code in bit payload")
+        raise MalformedBitstreamError(
+            f"bit payload exhausted after {k} of {count} symbols"
+        )
+    pos = pos[:count]
+    ln = lens[pos]
+    offset = (windows[pos] >> (64 - ln.astype(np.uint64))) - dec.first_code[ln]
+    return dec.order[dec.first_pos[ln] + offset.astype(np.int64)]
 
 
 def ec_gain(table: HuffmanTable, l_vq: int, q_vq: int) -> float:

@@ -55,6 +55,7 @@ share `_IndexQuantizer`. Adding a quantizer is one spec class plus its
 import hashlib
 import json
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -395,6 +396,10 @@ class RawSpec:
         bits.stats.n_vectors = len(codes)
 
     def dequantize(self, bits, profile, cb, rate):
+        if not 0.0 < bits.raw_scale < math.inf:
+            raise MalformedBitstreamError(
+                f"raw-mode scale {bits.raw_scale} is not positive and finite"
+            )
         m = bits.m_dec
         sec = bits.section(SEC_RAW, 2 * m)
         half = 1 << (profile.q0 - 1)

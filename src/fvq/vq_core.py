@@ -269,10 +269,11 @@ def _validate_training(vecs, size):
         )
 
 
-def train_classical(
-    vectors, q_vq: int, trials: int, stop: LloydStop = None, seed: int = 0
-) -> Codebook:
-    """Independent Lloyd trials in parallel form: best final codebook wins."""
+def _best_of_trials(vectors, q_vq, trials, stop, seed, algorithm, init):
+    """Run `trials` Lloyd descents and return the codebook with the lowest
+    final distortion. `init(t, vecs, size, key, rms, prev)` gives trial t's
+    initial codewords; `prev` is trial t-1's output (None for t = 0), `key`
+    the generator key of `seed` and `rms` the corpus RMS amplitude."""
     vecs = _as_vectors(vectors)
     stop = stop or LloydStop()
     if trials < 1:
@@ -284,17 +285,28 @@ def train_classical(
     key = _seed_key(seed)
     best = None
     trial_ds = []
+    cw = None
     for t in range(trials):
-        rng = np.random.default_rng(key + [t])
-        init = _init_codewords(vecs, size, rng)
-        cw, d, trace, usage, repairs = _descent(vecs, init, stop, rms)
+        start = init(t, vecs, size, key, rms, cw)
+        cw, d, trace, usage, repairs = _descent(vecs, start, stop, rms)
         trial_ds.append(d)
         if best is None or d < best[1]:
             best = (cw, d, trace, usage, repairs)
     cw, d, trace, usage, repairs = best
-    meta = TrainingMeta(CLASSICAL, trials, len(trace) - 1, d, seed,
+    meta = TrainingMeta(algorithm, trials, len(trace) - 1, d, seed,
                         trial_ds, trace, repairs)
     return Codebook(l_vq, q_vq, cw, usage, meta)
+
+
+def train_classical(
+    vectors, q_vq: int, trials: int, stop: LloydStop = None, seed: int = 0
+) -> Codebook:
+    """Independent Lloyd trials in parallel form: best final codebook wins."""
+
+    def init(t, vecs, size, key, rms, prev):
+        return _init_codewords(vecs, size, np.random.default_rng(key + [t]))
+
+    return _best_of_trials(vectors, q_vq, trials, stop, seed, CLASSICAL, init)
 
 
 def train_modified(
@@ -303,33 +315,16 @@ def train_modified(
     """Serial Lloyd trials: each trial restarts from the previous trial's
     output rescaled against the corpus RMS amplitude (with the overshoot
     factor above); the best codebook seen anywhere in the chain wins."""
-    vecs = _as_vectors(vectors)
-    stop = stop or LloydStop()
-    if trials < 1:
-        raise ContractViolationError("trials must be >= 1")
-    l_vq = vecs.shape[1]
-    size = codebook_size(l_vq, q_vq)
-    _validate_training(vecs, size)
-    rms = float(np.sqrt(np.mean(vecs**2)))
-    rng = np.random.default_rng(_seed_key(seed) + [0])
-    init = _init_codewords(vecs, size, rng)
-    best = None
-    trial_ds = []
-    prev_cw = None
-    for t in range(trials):
-        if t > 0:
-            cb_rms = float(np.sqrt(np.mean(prev_cw**2)))
-            scale = _RESCALE_OVERSHOOT * rms / cb_rms if cb_rms > 0 else 1.0
-            init = prev_cw * scale
-        cw, d, trace, usage, repairs = _descent(vecs, init, stop, rms)
-        trial_ds.append(d)
-        prev_cw = cw
-        if best is None or d < best[1]:
-            best = (cw, d, trace, usage, repairs)
-    cw, d, trace, usage, repairs = best
-    meta = TrainingMeta(MODIFIED, trials, len(trace) - 1, d, seed,
-                        trial_ds, trace, repairs)
-    return Codebook(l_vq, q_vq, cw, usage, meta)
+
+    def init(t, vecs, size, key, rms, prev):
+        if prev is None:
+            rng = np.random.default_rng(key + [0])
+            return _init_codewords(vecs, size, rng)
+        cb_rms = float(np.sqrt(np.mean(prev**2)))
+        scale = _RESCALE_OVERSHOOT * rms / cb_rms if cb_rms > 0 else 1.0
+        return prev * scale
+
+    return _best_of_trials(vectors, q_vq, trials, stop, seed, MODIFIED, init)
 
 
 def quantize_batch(

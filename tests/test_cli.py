@@ -150,6 +150,22 @@ class TestTrainCompressDecompress:
                   "--in", bad, "--out", tmp_path / "x.iqf")
         assert rc == 3
 
+    def test_hostile_raw_scale_exit_code_3(self, profile_path, tmp_path):
+        config = json.loads(profile_path.read_text())
+        config["quantizer"] = {"kind": "raw"}
+        profile_path.write_text(json.dumps(config))
+        corpus, cpz = tmp_path / "c.iqf", tmp_path / "c.cpz"
+        bad = tmp_path / "bad.cpz"
+        _run("gen", "--profile", profile_path, "--out", corpus)
+        assert _run("compress", "--profile", profile_path, "--in", corpus,
+                    "--out", cpz) == 0
+        frame = Bitstream.from_bytes(cpz.read_bytes())
+        frame.raw_scale = 0.0
+        bad.write_bytes(frame.to_bytes())
+        rc = _run("decompress", "--profile", profile_path, "--in", bad,
+                  "--out", tmp_path / "x.iqf")
+        assert rc == 3
+
     def test_missing_codebook_exit_code_4(self, profile_path, tmp_path):
         corpus = tmp_path / "c.iqf"
         _run("gen", "--profile", profile_path, "--out", corpus)

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fvq import entropy as ec
+from fvq import pipeline
+from fvq.bitio import unpack_bit_array
 from fvq.errors import ContractViolationError, MalformedBitstreamError
+from tests.conftest import make_corpus, seeded_codebooks
 
 
 def _entropy(pmf):
@@ -147,6 +152,206 @@ class TestCodec:
         np.testing.assert_array_equal(
             ec.decode(table, payload, len(data)), data
         )
+
+
+def _bit_serial_decode(table, payload, count):
+    """Reference decoder: one bit at a time against the canonical first
+    code of each length (entropy.decode before it went table-driven)."""
+    if count == 0:
+        return np.zeros(0, dtype=np.int64)
+    lengths = table.code_lengths
+    if table.alphabet_size == 1:
+        return np.zeros(count, dtype=np.int64)
+    if count > 8 * len(payload):
+        raise MalformedBitstreamError("bit payload exhausted")
+    max_len = int(lengths.max())
+    order = np.lexsort((np.arange(len(lengths)), lengths))
+    num = np.bincount(lengths, minlength=max_len + 1).tolist()
+    first_code = [0] * (max_len + 1)
+    first_pos = [0] * (max_len + 1)
+    code = pos = 0
+    for ln in range(1, max_len + 1):
+        first_code[ln] = code
+        first_pos[ln] = pos
+        code = (code + num[ln]) << 1
+        pos += num[ln]
+    bits = unpack_bit_array(payload, min(len(payload) * 8, count * max_len))
+    out = np.empty(count, dtype=np.int64)
+    bi = 0
+    for si in range(count):
+        code = ln = 0
+        while True:
+            if bi >= bits.size:
+                raise MalformedBitstreamError("bit payload exhausted")
+            code = (code << 1) | int(bits[bi])
+            bi += 1
+            ln += 1
+            if ln > max_len:
+                raise MalformedBitstreamError("invalid code in bit payload")
+            off = code - first_code[ln]
+            if 0 <= off < num[ln]:
+                out[si] = order[first_pos[ln] + off]
+                break
+    return out
+
+
+def _random_lengths(rng, n, skew, drop):
+    """Kraft-valid code lengths for `n` symbols, at most 64 bits: grow a
+    binary tree by splitting leaves (the deepest one with probability
+    `skew`, else a random one), then remove `drop` leaves so the code is
+    incomplete."""
+    leaves = np.zeros(n + drop, dtype=np.int64)
+    for size in range(1, n + drop):
+        live = leaves[:size]
+        i = int(np.argmax(live)) if rng.random() < skew else rng.integers(size)
+        if live[i] == 64:
+            i = int(np.argmin(live))
+        leaves[i] += 1
+        leaves[size] = leaves[i]
+    return rng.permutation(leaves)[:n]
+
+
+def _decode_or_error(decode, table, payload, count):
+    try:
+        return decode(table, payload, count)
+    except MalformedBitstreamError:
+        return MalformedBitstreamError
+
+
+class TestTableDrivenDecode:
+    """entropy.decode against the bit-serial reference decoder above."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.one_of(st.integers(2, 80), st.integers(2, 4096)),
+        skew=st.floats(0.0, 1.0),
+        drop=st.integers(0, 3),
+        n_data=st.integers(0, 200),
+        variant=st.sampled_from(["valid", "truncated", "garbage", "random"]),
+        cut=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_bit_serial_decoder(
+        self, n, skew, drop, n_data, variant, cut, seed
+    ):
+        rng = np.random.default_rng(seed)
+        lengths = _random_lengths(rng, n, skew, drop)
+        table = ec.table_from_lengths(lengths)
+        # short codes are drawn more often, as in a trained stream
+        weights = 2.0 ** -np.minimum(lengths, 40)
+        data = rng.choice(n, size=n_data, p=weights / weights.sum())
+        payload, _ = ec.encode(table, data)
+        count = len(data)
+        if variant == "truncated":
+            payload = payload[:-cut]
+        elif variant == "garbage":
+            payload += rng.bytes(cut)
+        elif variant == "random":
+            payload = rng.bytes(int(rng.integers(0, 64)))
+            count = int(rng.integers(0, 8 * len(payload) + 2))
+        expected = _decode_or_error(_bit_serial_decode, table, payload, count)
+        got = _decode_or_error(ec.decode, table, payload, count)
+        failed = MalformedBitstreamError
+        if expected is failed or got is failed:
+            assert got is expected
+        else:
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, expected)
+        if variant in ("valid", "garbage"):
+            np.testing.assert_array_equal(got, data)
+
+    def test_64_bit_codes_round_trip(self):
+        # lengths 1, 2, ..., 63, 64, 64: a complete code down to 64 bits
+        table = ec.table_from_lengths(list(range(1, 65)) + [64])
+        data = np.array([64, 63, 0, 62, 64, 1, 32])
+        payload, bits = ec.encode(table, data)
+        assert bits == 64 + 64 + 1 + 63 + 64 + 2 + 33
+        np.testing.assert_array_equal(ec.decode(table, payload, 7), data)
+
+    def test_invalid_code_raises(self):
+        # an incomplete code: "11" and everything after it is no codeword
+        table = ec.table_from_lengths([1, 2])
+        with pytest.raises(MalformedBitstreamError, match="invalid code"):
+            ec.decode(table, b"\x30", 3)
+
+    def test_hostile_payload_memory_linear(self):
+        table = ec.table_from_lengths(list(range(1, 65)) + [64])
+        payload = np.random.default_rng(4).bytes(4096)
+        tracemalloc.start()
+        try:
+            ec.decode(table, payload, 8 * len(payload))
+        except MalformedBitstreamError:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # about 33 bytes of scratch per payload bit, where sizing the scratch
+        # by count * max_len (64x the payload's bits here) would show
+        assert peak < 40 * 8 * len(payload)
+
+
+def _built_from_counts(counts):
+    """The table of `counts`, built without the table cache."""
+    return ec.build_huffman((counts + 1.0) / (counts.sum() + len(counts)))
+
+
+class TestTableCache:
+    def test_equal_counts_share_one_table(self, monkeypatch):
+        counts = np.random.default_rng(12).integers(0, 1000, 300)
+        table = ec.table_from_counts(counts, 300)
+        builds = []
+        monkeypatch.setattr(
+            ec, "build_huffman", lambda pmf: builds.append(pmf) or None
+        )
+        for _ in range(3):
+            assert ec.table_from_counts(counts.copy(), 300) is table
+        assert builds == []
+        assert not table.code_lengths.flags.writeable
+
+    def test_alphabet_size_is_part_of_the_key(self):
+        counts = np.arange(5)
+        a = ec.table_from_counts(counts, 5)
+        b = ec.table_from_counts(counts, 6)
+        assert a.alphabet_size == 5 and b.alphabet_size == 6
+
+    @staticmethod
+    def _round_trip(quantizer, seed):
+        """(profile, codebook, frame) of a coded frame, and its decoded
+        samples, for seeded codebooks of `quantizer`."""
+        prof = pipeline.CompressionProfile(
+            link="uplink", quantizer=quantizer, entropy_coding=True
+        )
+        cb = seeded_codebooks(quantizer, seed=seed)
+        frame = pipeline.compress(make_corpus(1, seed=seed), prof, cb)
+        out = pipeline.decompress(frame.to_bytes(), prof, cb)
+        return prof, cb, frame, out.samples
+
+    def test_vq_counts_changed_in_place(self):
+        prof, cb, before, samples = self._round_trip(pipeline.VqSpec(2, 3), 21)
+        old = _built_from_counts(cb.usage_counts)
+        cb.usage_counts[:] = 0
+        cb.usage_counts[5] = 10**6  # codeword 5 gets a 1-bit code
+        new = _built_from_counts(cb.usage_counts)
+        after = pipeline.compress(make_corpus(1, seed=21), prof, cb)
+        n = before.section(pipeline.SEC_VQ_IDX).item_count
+        np.testing.assert_array_equal(
+            ec.decode(new, after.section(pipeline.SEC_VQ_IDX).payload, n),
+            ec.decode(old, before.section(pipeline.SEC_VQ_IDX).payload, n),
+        )
+        assert after.to_bytes() != before.to_bytes()
+        out = pipeline.decompress(after.to_bytes(), prof, cb)
+        np.testing.assert_array_equal(out.samples, samples)
+
+    def test_msvq_stage2_counts_changed(self):
+        prof, cb, before, samples = self._round_trip(
+            pipeline.MsvqSpec(2, 2, 2), 23
+        )
+        for sub in cb.stage2:
+            sub.usage_counts[::2] += 500
+        after = pipeline.compress(make_corpus(1, seed=23), prof, cb)
+        assert (after.section(pipeline.SEC_MSVQ_I2).payload
+                != before.section(pipeline.SEC_MSVQ_I2).payload)
+        out = pipeline.decompress(after.to_bytes(), prof, cb)
+        np.testing.assert_array_equal(out.samples, samples)
 
 
 class TestGain:

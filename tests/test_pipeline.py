@@ -91,6 +91,18 @@ class TestRawPassthrough:
         out = pipeline.decompress(bits, prof)
         assert fvq.evm_td(s, out) < 0.02
 
+    @pytest.mark.parametrize("scale", [0.0, math.nan, math.inf, -1.0])
+    def test_hostile_raw_scale_is_malformed(self, scale):
+        # the README worked example's frame with its raw-mode scale replaced
+        prof = CompressionProfile(
+            link="uplink", quantizer=RawSpec(), entropy_coding=False
+        )
+        s = fvq.IQStream(np.array([0.5 + 0.25j, -1.0 + 0.75j]))
+        frame = pipeline.compress(s, prof)
+        frame.raw_scale = scale
+        with pytest.raises(MalformedBitstreamError, match="raw-mode scale"):
+            pipeline.decompress(frame.to_bytes(), prof)
+
     def test_quantizer_bypass_limited_by_decimation(self):
         # raw quantizer: chain EVM equals the frontend-only round trip
         spec = fvq.ResamplerSpec(5, 8)
