@@ -112,10 +112,11 @@ def _canonical_decoder(code_lengths) -> _Decoder:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class HuffmanTable:
     """A canonical code; treat it as immutable, since decoding caches
-    constants derived from `code_lengths`."""
+    constants derived from `code_lengths`. Compared by identity: its fields
+    are arrays."""
 
     code_lengths: np.ndarray  # (alphabet,) int
     codes: np.ndarray  # (alphabet,) canonical codewords, right-aligned

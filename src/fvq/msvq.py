@@ -23,7 +23,7 @@ from .vq_core import (
     LloydStop,
     SearchCounter,
     _as_vectors,
-    _assign,
+    _nearest,
     codebook_size,
     load_codebook,
     save_codebook,
@@ -37,8 +37,11 @@ VQMS_MAGIC = b"VQMS\x00\x00\x00\x00"
 _VQMS_VERSION = 1
 
 
-@dataclass
+@dataclass(eq=False)
 class MsvqCodebook:
+    """Stage-1 codebook and its per-cell stage-2 codebooks; compared by
+    identity, like `Codebook`."""
+
     stage1: Codebook
     stage2: list  # one Codebook per stage-1 cell, in index order
     l: int
@@ -106,7 +109,7 @@ def train_msvq(
     l = vecs.shape[1]
     train = train_classical if trainer == CLASSICAL else train_modified
     stage1 = train(vecs, q1, trials, stop, seed)
-    idx1, _ = _assign(vecs, stage1.codewords)
+    idx1 = _nearest(vecs, stage1.codewords)
     size2 = codebook_size(l, q2)
     rms = float(np.sqrt(np.mean(vecs**2)))
     stage2 = []
@@ -130,7 +133,7 @@ def train_msvq(
             )
             cw = _fill_codebook(members, size2, anchor, rms)
         if len(members):
-            mi, _ = _assign(members, cw)
+            mi = _nearest(members, cw)
             usage = np.bincount(mi, minlength=size2).astype(np.uint64)
         else:
             usage = np.zeros(size2, dtype=np.uint64)
@@ -148,12 +151,12 @@ def quantize_msvq(
         return z, z
     if vecs.shape[1] != cb.l:
         raise ContractViolationError("vector length != MSVQ vector length")
-    i1, _ = _assign(vecs, cb.stage1.codewords)
+    i1 = _nearest(vecs, cb.stage1.codewords)
     i2 = np.empty(len(vecs), dtype=np.int64)
     evals = cb.stage1.size * len(vecs)
     for k in np.unique(i1):
         sel = i1 == k
-        j, _ = _assign(vecs[sel], cb.stage2[k].codewords)
+        j = _nearest(vecs[sel], cb.stage2[k].codewords)
         i2[sel] = j
         evals += cb.stage2[k].size * int(sel.sum())
     if counter is not None:

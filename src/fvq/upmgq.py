@@ -33,7 +33,7 @@ from .vq_core import (
     Codebook,
     LloydStop,
     SearchCounter,
-    _assign,
+    _nearest,
     codebook_size,
     load_codebook,
     save_codebook,
@@ -64,8 +64,11 @@ class UpmgqConfig:
             raise ContractViolationError("resolution overflows")
 
 
-@dataclass
+@dataclass(eq=False)
 class UpmgqCodebook:
+    """G2 codebook, G3 grid and G2 Huffman table; compared by identity, like
+    `Codebook`."""
+
     high_vq: Codebook  # over high parts divided by 2^theta (integer entries)
     low_sq: np.ndarray  # 2^q_low midpoints strictly inside [0, 2^theta)
     huffman_high: HuffmanTable
@@ -162,7 +165,7 @@ def train_upmgq(
     train = train_classical if trainer == CLASSICAL else train_modified
     cb = train(batch.vectors, cfg.q_high, trials, stop, seed)
     rounded = np.maximum(np.round(cb.codewords), 0.0)
-    idx, _ = _assign(batch.vectors, rounded)
+    idx = _nearest(batch.vectors, rounded)
     usage = np.bincount(idx, minlength=len(rounded)).astype(np.uint64)
     high_vq = Codebook(cfg.l_upmgq, cfg.q_high, rounded, usage, cb.training_meta)
     table = build_huffman(estimate_pmf(idx, high_vq.size))
@@ -193,7 +196,7 @@ def quantize_upmgq(
     comps = np.concatenate([stream.samples.real, stream.samples.imag])
     neg, high, low = _expand_components(comps, cfg.theta)
     batch = _high_batch(stream, cfg.theta, cfg.l_upmgq)
-    g2, _ = _assign(batch.vectors, cb.high_vq.codewords)
+    g2 = _nearest(batch.vectors, cb.high_vq.codewords)
     # G3 is a genuine nearest-point search over the reconstruction grid so
     # the instrumented search count reflects real distance evaluations.
     g3 = np.argmin(np.abs(low[:, None] - cb.low_sq[None, :]), axis=1)

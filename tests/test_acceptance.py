@@ -33,7 +33,7 @@ from tests.conftest import cached, make_corpus
 pytestmark = pytest.mark.acceptance
 
 # bump when training semantics change to invalidate cached artifacts
-SALT = "v2"
+SALT = "v3"
 
 BAND = fvq.waveform.subcarrier_indices(1024, 600)
 

@@ -1,9 +1,14 @@
 import io
+import pickle
+import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fvq import vq_core
+from fvq import entropy, pipeline, vq_core
 from fvq.errors import ContractViolationError, FormatError
 from fvq.vq_core import (
     Codebook,
@@ -18,6 +23,7 @@ from fvq.vq_core import (
     train_classical,
     train_modified,
 )
+from tests.conftest import seeded_codebooks
 
 
 def _brute_force_nearest(codewords, vector):
@@ -87,6 +93,132 @@ class TestNearest:
         nearest_codeword(cb, np.zeros(2), counter)
         assert counter.distance_evals == cb.size
         assert counter.items == 1
+
+
+def _forced(path):
+    """Patch the tree threshold so every search takes `path`."""
+    t = 0 if path == "tree" else np.iinfo(np.int64).max
+    return mock.patch.object(vq_core, "_TREE_MIN_CODEWORDS", t)
+
+
+def _search_case(l, k, n, kind, equal_rows, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        # UPMGQ-style: integer codebook, half-integer vectors, exact ties
+        codewords = rng.integers(0, 6, (k, l)).astype(np.float64)
+        vectors = rng.integers(-2, 14, (n, l)) / 2.0
+    else:
+        codewords = rng.standard_normal((k, l)) * 30.0
+        vectors = rng.standard_normal((n, l)) * 30.0
+    if kind == "duplicates":
+        codewords[rng.integers(0, k, k // 2)] = codewords[rng.integers(0, k, k // 2)]
+    m = min(equal_rows, n)
+    vectors[:m] = codewords[rng.integers(0, k, m)]
+    return vectors, codewords
+
+
+class TestSearchPaths:
+    """The k-d tree and brute-force paths give the same bits."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        l=st.integers(1, 4),
+        k=st.sampled_from([1, 2, 5, 64, 511, 512, 513, 1024, 2048]),
+        n=st.integers(0, 300),
+        kind=st.sampled_from(["gaussian", "duplicates", "integer"]),
+        equal_rows=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tree_equals_brute(self, l, k, n, kind, equal_rows, seed):
+        vectors, codewords = _search_case(l, k, n, kind, equal_rows, seed)
+        with _forced("brute"):
+            b_idx, b_dist = vq_core._assign(vectors, codewords)
+        with _forced("tree"):
+            t_idx, t_dist = vq_core._assign(vectors, codewords)
+        d_idx, d_dist = vq_core._assign(vectors, codewords)
+        for idx, dist in ((t_idx, t_dist), (d_idx, d_dist)):
+            assert idx.dtype == b_idx.dtype == np.int64
+            assert idx.tobytes() == b_idx.tobytes()
+            assert dist.tobytes() == b_dist.tobytes()
+        assert (b_dist >= 0).all()
+
+    def test_large_codebook_against_oracle(self):
+        rng = np.random.default_rng(41)
+        codewords = rng.uniform(-64, 64, (4096, 2))
+        vectors = rng.standard_normal((100_000, 2)) * 24
+        idx = quantize_batch(Codebook(2, 6, codewords), vectors)
+        # independent oracle: |v - c|^2 from the differences, no matrix product
+        for a in range(0, len(vectors), 1000):
+            v = vectors[a : a + 1000]
+            d = np.subtract.outer(v[:, 0], codewords[:, 0]) ** 2
+            d += np.subtract.outer(v[:, 1], codewords[:, 1]) ** 2
+            np.testing.assert_array_equal(idx[a : a + 1000], d.argmin(axis=1))
+
+    def test_repair_heavy_training_is_path_independent(self):
+        rng = np.random.default_rng(43)
+        vectors = np.round(rng.standard_normal((600, 3)) * 3) / 2
+        pickles = []
+        for path in ("tree", "brute"):
+            with _forced(path):
+                cb = train_modified(vectors, 3, 2, LloydStop(40), seed=5)
+            pickles.append(pickle.dumps(cb))
+        assert cb.size == 512 and cb.training_meta.repair_events > 0
+        assert pickles[0] == pickles[1]
+
+    def test_memory_bounded_per_vector(self):
+        rng = np.random.default_rng(47)
+        cb = Codebook(2, 6, rng.uniform(-8, 8, (4096, 2)))
+        vectors = rng.standard_normal((100_000, 2)) * 4
+        tracemalloc.start()
+        try:
+            quantize_batch(cb, vectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * len(vectors)
+
+
+@pytest.mark.parametrize("q_vq", [2, 5])  # 16 words: brute force; 1024: k-d tree
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cb, v: nearest_codeword(cb, v[1]),
+        lambda cb, v: quantize_batch(cb, v),
+        lambda cb, v: lloyd_iterate(v, cb),
+        lambda cb, v: train_classical(v, cb.q_vq, 1, seed=1),
+        lambda cb, v: train_modified(v, cb.q_vq, 2, seed=1),
+    ],
+    ids=["nearest_codeword", "quantize_batch", "lloyd_iterate",
+         "train_classical", "train_modified"],
+)
+def test_non_finite_vector_refused(call, bad, q_vq):
+    cb = _random_codebook(2, q_vq, seed=6)
+    vectors = np.random.default_rng(7).standard_normal((2 * cb.size, 2))
+    vectors[1, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolationError, match="finite"):
+            call(cb, vectors)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: entropy.build_huffman([0.25] * 4),
+        lambda: _random_codebook(2, 2),
+        lambda: seeded_codebooks(pipeline.MsvqSpec(2, 2, 2)),
+        lambda: seeded_codebooks(pipeline.UpmgqSpec(-1, 3, 2, 2, 6)),
+    ],
+    ids=["HuffmanTable", "Codebook", "MsvqCodebook", "UpmgqCodebook"],
+)
+def test_artifact_equality_is_identity(build):
+    # their fields are arrays: == must answer, not raise
+    a, b = build(), build()
+    assert a == a
+    assert (a == b) is False
+    assert a != b
+    assert len({a, b}) == 2
 
 
 class TestLloydIterate:
