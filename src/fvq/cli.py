@@ -113,12 +113,6 @@ def _write_sidecar(out_path, command, config):
         )
 
 
-def _threads(args) -> int:
-    if args.threads:
-        return args.threads
-    return int(os.environ.get("FVQ_THREADS", "1"))
-
-
 def cmd_gen(args) -> int:
     config = _load_config(args)
     stream = _gen_corpus(config.get("waveform", {}))
@@ -142,8 +136,6 @@ def cmd_gen(args) -> int:
 def _trainer_opts(config):
     block = dict(config.get("training", {}))
     trainer = block.get("trainer", vq_core.MODIFIED)
-    if trainer not in (vq_core.CLASSICAL, vq_core.MODIFIED):
-        raise ContractViolationError(f"unknown trainer {trainer!r}")
     trials = int(block.get("trials", 2))
     seed = int(block.get("seed", 0))
     stop = vq_core.LloydStop(
@@ -170,8 +162,9 @@ def _print_stage_table(profile, stats):
     cr_formula = pipeline.compression_ratio(profile, stats)
     print(f"  CR (stage formula) : {cr_formula:.4f}")
     print(f"  CR (measured bits) : {stats.cr_measured:.4f}")
-    print(f"  stage gains        : CPR {stats.cr_cpr:.4f} x DEC "
-          f"{stats.cr_dec:.4f} x Q {stats.quantizer_gain:.4f}")
+    gains = {s.label: s.gain for s in pipeline.frontend_stages(profile)}
+    print(f"  stage gains        : CPR {gains.get('CPR', 1.0):.4f} x DEC "
+          f"{gains.get('DEC', 1.0):.4f} x Q {stats.quantizer_gain:.4f}")
     print(f"  payload bits       : {stats.payload_bits} "
           f"(side info {stats.side_info_bits})")
 
@@ -222,7 +215,7 @@ def cmd_eval(args) -> int:
         eval_corpora[label] = _gen_corpus(wf_eval)
 
     labels = list(corpora_spec)
-    with ThreadPoolExecutor(max_workers=_threads(args)) as pool:
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
         trained = pool.map(
             lambda lab: pipeline.train_for_profile(
                 train_corpora[lab], profile, *opts
@@ -293,7 +286,7 @@ def cmd_sweep(args) -> int:
                 report.cs_measured,
             ]
 
-        with ThreadPoolExecutor(max_workers=_threads(args)) as pool:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
             rows = list(pool.map(run_point, points))
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -350,16 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_in=False, needs_out=True):
+    def common(p, needs_in=False, threads=False):
         p.add_argument("--profile", help="JSON profile path")
         p.add_argument("--set", action="append", type=_parse_set,
                        metavar="KEY=VALUE", help="override profile entries")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--report", choices=("csv", "json"), default="csv")
+        if threads:
+            p.add_argument("--threads", type=int, default=1)
         if needs_in:
             p.add_argument("--in", required=True, help="input path")
-        p.add_argument("--out", required=needs_out, help="output path")
+        p.add_argument("--out", required=True, help="output path")
 
     common(sub.add_parser("gen", help="generate a corpus (IQF1)"))
     common(sub.add_parser("train", help="train a codebook artifact"),
@@ -370,11 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompress", help="decompress a CPZ1 file to IQF1")
     common(p, needs_in=True)
     p.add_argument("--codebook", help="codebook artifact path")
-    common(sub.add_parser("eval", help="mismatch matrices"))
-    common(sub.add_parser("sweep", help="rate-distortion sweep CSV"))
+    p = sub.add_parser("eval", help="mismatch matrices")
+    common(p, threads=True)
+    p.add_argument("--report", choices=("csv", "json"), default="csv")
+    common(sub.add_parser("sweep", help="rate-distortion sweep CSV"),
+           threads=True)
     p = sub.add_parser("stats", help="orthant entropy / level statistics")
     p.add_argument("--in", required=False, help="optional corpus (IQF1)")
-    common(p, needs_in=False)
+    common(p)
     return parser
 
 

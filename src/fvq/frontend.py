@@ -58,7 +58,7 @@ class ResamplerSpec:
         return self.down_factor / self.up_factor
 
 
-@dataclass
+@dataclass(eq=False)
 class ScaleFactors:
     """Per-block integer gains; factor count = ceil(M / n_bs)."""
 

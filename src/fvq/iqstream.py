@@ -25,9 +25,10 @@ IQF1_MAGIC = b"IQF1\x00\x00\x00\x00"
 DEFAULT_SAMPLE_RATE_HZ = 15_360_000
 
 
-@dataclass
+@dataclass(eq=False)
 class IQStream:
-    """A sequence of complex baseband samples plus rate/provenance metadata."""
+    """A sequence of complex baseband samples plus rate/provenance metadata;
+    compared by identity, since its samples are an array."""
 
     samples: np.ndarray
     sample_rate: Fraction = Fraction(DEFAULT_SAMPLE_RATE_HZ)

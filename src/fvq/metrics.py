@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ContractViolationError
 from .iqstream import IQStream
 
-REPORT_SCHEMA = "fvq-eval-1"
+REPORT_SCHEMA = "fvq-eval-2"
 
 
 def evm_td(input_stream: IQStream, output_stream: IQStream) -> float:
@@ -76,7 +76,6 @@ class EvalReport:
     evm_fd_pct: float
     cr_formula: float
     cr_measured: float
-    cr_formula_literal: float = 0.0
     cr_measured_no_side_info: float = 0.0
     so_measured: int = 0
     cs_measured: int = 0

@@ -24,6 +24,7 @@ from .vq_core import (
     SearchCounter,
     _as_vectors,
     _nearest,
+    check_trainer,
     codebook_size,
     load_codebook,
     save_codebook,
@@ -104,6 +105,7 @@ def train_msvq(
     than its stage-2 codebook size is repaired by perturbed duplication (a
     warning is logged); q2 = 0 degenerates to plain VQ at q1 exactly.
     """
+    check_trainer(trainer)
     vecs = _as_vectors(vectors)
     stop = stop or LloydStop()
     l = vecs.shape[1]

@@ -1,8 +1,12 @@
 """Compression/decompression chain composition and the CPZ1 bitstream.
 
 Stage order on the compress side: cyclic-prefix removal (downlink only) ->
-decimation -> block scaling -> quantization -> entropy coding. Decompression
-walks the inverse chain and restores the original sample count and rate.
+decimation -> block scaling -> quantization -> entropy coding.
+`frontend_stages` lists the pre-quantizer stages a profile enables, in that
+order; each gives its `gain`, its output length and rate (`size`), `forward`
+(block scaling appends section kind 1 there) and `inverse`. `decompress`
+walks the sizes forward from the header's M and rate, refuses a header whose
+M_dec they do not reach, and checks each stage's input length on the way back.
 
 CPZ1 frame layout (little-endian):
 
@@ -36,9 +40,8 @@ count with it on, just as CR_EC uses the emitted L_HUFF. `theorem_cr`
 exposes the textbook composition with a fixed Q_BS-bit side term expressed
 per N_BS input samples.
 
-With CP removal the downlink stream is whole l_sym-sample symbols, so the
-resampler treats each symbol as one period (see `frontend.resample`); this
-needs l_sym * K / L to be an integer, which the profile enforces.
+With CP removal the resampler treats each l_sym-sample symbol as one period
+(see `frontend.resample`), which needs l_sym * K / L to be an integer.
 
 Quantizers. Everything that differs between vq, msvq, upmgq and raw sits in
 the profile's quantizer spec, behind one interface that `compress`,
@@ -77,7 +80,7 @@ from .errors import (
     MalformedBitstreamError,
 )
 from .iqstream import IQStream
-from .metrics import EvalReport, evm_fd, evm_td
+from .metrics import EvalReport, complexity_counters, evm_fd, evm_td
 from .msvq import MsvqCodebook, dequantize_msvq, quantize_msvq
 from .upmgq import (
     UpmgqCodebook,
@@ -156,11 +159,8 @@ class _IndexQuantizer:
         width = sum(w for _, w in self.stages)
         idx_bits = sum(stats.section_bits[k] for k, _ in self.stages)
         stats.l_huff_emitted = idx_bits / max(stats.n_vectors, 1)
-        stats.cr_vq = q0 * self.l / width
-        stats.cr_ec = (
-            width / stats.l_huff_emitted if stats.l_huff_emitted > 0 else 1.0
-        )
-        stats.quantizer_gain = stats.cr_vq * stats.cr_ec
+        cr_ec = width / stats.l_huff_emitted if stats.l_huff_emitted > 0 else 1.0
+        stats.quantizer_gain = q0 * self.l / width * cr_ec  # CR_VQ * CR_EC
 
 
 @dataclass
@@ -191,6 +191,7 @@ class VqSpec(_IndexQuantizer):
             )
 
     def train(self, x, profile, trainer, trials, stop, seed):
+        vq_core.check_trainer(trainer)
         train = (vq_core.train_classical if trainer == vq_core.CLASSICAL
                  else vq_core.train_modified)
         cb = train(_vectors(x, profile, self.l), self.q_vq, trials, stop, seed)
@@ -449,20 +450,10 @@ class CompressionProfile:
                 "cyclic-prefix removal is a downlink-only stage (uplink "
                 "symbol timing is unknown at the radio unit)"
             )
-        if (
-            self.cp_removal
-            and self.decimation is not None
-            and self.l_sym * self.decimation.up_factor
-            % self.decimation.down_factor
-        ):
-            raise ContractViolationError(
-                f"per-symbol resampling needs l_sym * K / L to be an integer; "
-                f"got {self.l_sym} * {self.decimation.up_factor} / "
-                f"{self.decimation.down_factor}"
-            )
         self.vector_method = VectorLayout(self.vector_method)
         if self.q0 < 1:
             raise ContractViolationError("q0 must be positive")
+        frontend_stages(self)  # each stage refuses a geometry it cannot run
 
     def utilized_band(self) -> np.ndarray:
         return subcarrier_indices(self.l_sym, self.used_subcarriers)
@@ -523,20 +514,13 @@ class StageStats:
     """Per-stage bit accounting for one compress call."""
 
     m_in: int = 0
-    m_after_cp: int = 0
     m_dec: int = 0
     n_vectors: int = 0
-    cr_cpr: float = 1.0
-    cr_dec: float = 1.0
     quantizer_gain: float = 1.0  # CR_VQ * CR_EC, or the Eq.-(10)-style gain
-    cr_vq: float = 1.0
-    cr_ec: float = 1.0
     l_huff_emitted: float = 0.0  # bits per quantized vector, as emitted
     l_high: float = 0.0  # UPMGQ: emitted G2 bits per vector
     l_low: float = 0.0  # UPMGQ: emitted G3 bits per component
     side_info_bits: int = 0
-    bs_bits_emitted: float = 0.0  # bits per block-scale factor, as emitted
-    quantizer_bits: int = 0
     payload_bits: int = 0
     section_bits: dict = field(default_factory=dict)
     search_counters: dict = field(default_factory=dict)
@@ -667,34 +651,142 @@ def _decode_index_section(bits, kind, table, fixed_width, use_ec, l):
     return unpack_fixed(sec.payload, fixed_width, n).astype(np.int64)
 
 
-def _frontend(stream: IQStream, profile: CompressionProfile, stats: StageStats):
-    """CP removal -> resampling -> block scaling, recording sample counts and
-    stage gains in `stats`; returns the quantizer input and the block-scale
-    factors (None without block scaling)."""
-    x = stream
-    if profile.cp_removal:
-        x = frontend.remove_cp(x, profile.l_sym, profile.l_cp)
-        stats.cr_cpr = frontend.cp_removal_gain(profile.l_sym, profile.l_cp)
-    stats.m_after_cp = len(x)
+class _CpRemoval:
+    label = "CPR"
 
-    if profile.decimation is not None:
-        x = _resample(x, profile, frontend.DECIMATE)
-        stats.cr_dec = profile.decimation.decimation_gain
-    stats.m_dec = len(x)
+    def __init__(self, l_sym, l_cp):
+        self.l_sym, self.l_cp = l_sym, l_cp
+        self.gain = frontend.cp_removal_gain(l_sym, l_cp)
 
-    factors = None
-    if profile.block_scaling is not None:
-        bs = profile.block_scaling
+    def size(self, m, rate):
+        if m % (self.l_sym + self.l_cp):
+            raise MalformedBitstreamError(f"M={m} is not whole symbols")
+        return m // (self.l_sym + self.l_cp) * self.l_sym, rate
+
+    def forward(self, x, bits):
+        return frontend.remove_cp(x, self.l_sym, self.l_cp)
+
+    def inverse(self, x, m, bits):
+        return frontend.reinsert_cp(x, self.l_sym, self.l_cp)
+
+
+class _Resampling:
+    label = "DEC"
+
+    def __init__(self, spec, period):
+        self.spec, self.period = spec, period  # period: l_sym with CP removal
+        self.gain = spec.decimation_gain
+        if period is not None and period * spec.up_factor % spec.down_factor:
+            raise ContractViolationError(
+                f"per-symbol resampling needs l_sym * K / L to be an integer; "
+                f"got {period} * {spec.up_factor} / {spec.down_factor}"
+            )
+
+    def size(self, m, rate):
+        if m == 0:
+            raise MalformedBitstreamError("an empty stream is never resampled")
+        k, l = self.spec.up_factor, self.spec.down_factor
+        return -(-m * k // l), rate * Fraction(k, l)
+
+    def forward(self, x, bits):
+        return frontend.resample(x, self.spec, frontend.DECIMATE, self.period)
+
+    def inverse(self, x, m, bits):
+        period = self.period
+        if period is not None:
+            period = period * self.spec.up_factor // self.spec.down_factor
+        y = frontend.resample(x, self.spec, frontend.INTERPOLATE, period)
+        return y.with_samples(y.samples[:m])
+
+
+class _BlockScaling:
+    """Section kind 1 holds the factors: q_bs bits each, or with entropy
+    coding an in-section table (S_min and S_max in q_bs bits each, then one
+    8-bit code length per value S_min..S_max) followed by the Huffman-coded
+    factors. `scale_bits` is the quantizer's dynamic range."""
+
+    label = "BS"
+    gain = 1.0
+
+    def __init__(self, spec, scale_bits, use_ec):
+        self.spec, self.scale_bits, self.use_ec = spec, scale_bits, use_ec
+
+    def size(self, m, rate):
+        return m, rate
+
+    def forward(self, x, bits):
         x, factors = frontend.block_scale(
-            x, bs.n_bs, bs.q_bs, profile.quantizer.scale_bits
+            x, self.spec.n_bs, self.spec.q_bs, self.scale_bits
         )
-    return x, factors
+        if bits is None:
+            return x
+        f, q_bs = factors.factors, self.spec.q_bs
+        if not self.use_ec or f.size == 0:
+            payload, nbits = pack_fixed(f, q_bs)
+        else:
+            lo, hi = int(f.min()), int(f.max())
+            offsets = f.astype(np.int64) - lo
+            table = ec.build_huffman(ec.estimate_pmf(offsets, hi - lo + 1))
+            payload, nbits = concat_bits([
+                pack_fixed([lo, hi], q_bs),
+                pack_fixed(table.code_lengths, 8),
+                ec.encode(table, offsets),
+            ])
+        bits.sections.append(Section(SEC_SCALE, len(f), nbits, payload))
+        bits.stats.side_info_bits = nbits
+        return x
+
+    def inverse(self, x, m, bits):
+        """Any inconsistency in the factor section is a malformed stream."""
+        q_bs, n_blocks = self.spec.q_bs, -(-m // self.spec.n_bs)
+        sec = bits.section(SEC_SCALE, n_blocks)
+        if not self.use_ec or n_blocks == 0:
+            f = unpack_fixed(sec.payload, q_bs, n_blocks)
+            if f.size and int(f.min()) < 1:
+                raise MalformedBitstreamError("zero block-scale factor")
+        else:
+            flat = unpack_bit_array(sec.payload, sec.bit_length)
+
+            def read(start, width, count):
+                if start + width * count > flat.size:
+                    raise MalformedBitstreamError("truncated scale-factor table")
+                field = flat[start : start + width * count]
+                return unpack_fixed(pack_bit_array(field), width, count)
+
+            lo, hi = (int(v) for v in read(0, q_bs, 2))
+            if not 1 <= lo <= hi:
+                raise MalformedBitstreamError(
+                    f"scale factor range [{lo}, {hi}] outside 1..2^{q_bs}-1"
+                )
+            table = ec.table_from_lengths(read(2 * q_bs, 8, hi - lo + 1))
+            codes = pack_bit_array(flat[2 * q_bs + 8 * (hi - lo + 1) :])
+            f = ec.decode(table, codes, n_blocks) + lo
+        factors = frontend.ScaleFactors(self.spec.n_bs, q_bs, f)
+        return frontend.block_unscale(x, factors, self.scale_bits)
+
+
+def frontend_stages(profile: CompressionProfile) -> list:
+    """The profile's pre-quantizer stages in compress order."""
+    stages = []
+    if profile.cp_removal:
+        stages.append(_CpRemoval(profile.l_sym, profile.l_cp))
+    if profile.decimation is not None:
+        period = profile.l_sym if profile.cp_removal else None
+        stages.append(_Resampling(profile.decimation, period))
+    if profile.block_scaling is not None:
+        stages.append(_BlockScaling(
+            profile.block_scaling, profile.quantizer.scale_bits,
+            profile.entropy_coding,
+        ))
+    return stages
 
 
 def frontend_transform(stream: IQStream, profile: CompressionProfile) -> IQStream:
     """Run the pre-quantizer stages only (CP removal, decimation, block
     scaling); this is the domain codebooks are trained in."""
-    return _frontend(stream, profile, StageStats())[0]
+    for stage in frontend_stages(profile):
+        stream = stage.forward(stream, None)
+    return stream
 
 
 def compress(
@@ -707,83 +799,20 @@ def compress(
     q = profile.quantizer
     q.check(codebooks)
     stats = StageStats(m_in=len(stream), q0=profile.q0)
-    x, factors = _frontend(stream, profile, stats)
     bits = Bitstream(
-        profile.digest(), len(stream), stats.m_dec, stream.sample_rate,
+        profile.digest(), len(stream), 0, stream.sample_rate,
         profile.vector_seed, 0.0, [], stats,
     )
-    if factors is not None:
-        sec = _scale_section(factors, profile.entropy_coding)
-        bits.sections.append(sec)
-        stats.side_info_bits = sec.bit_length
-        stats.bs_bits_emitted = sec.bit_length / max(sec.item_count, 1)
-
+    x = stream
+    for stage in frontend_stages(profile):
+        x = stage.forward(x, bits)
+    bits.m_dec = stats.m_dec = len(x)
     q.quantize(x, profile, codebooks, bits, counter)
 
     stats.section_bits = {s.kind: s.bit_length for s in bits.sections}
     stats.payload_bits = sum(stats.section_bits.values())
-    stats.quantizer_bits = stats.payload_bits - stats.side_info_bits
     q.gain_stats(stats, profile.q0)
     return bits
-
-
-def _resample(x: IQStream, profile: CompressionProfile, direction: str):
-    """Decimate or interpolate; CP-removed symbols are resampled as periods."""
-    spec = profile.decimation
-    period = None
-    if profile.cp_removal:
-        period = profile.l_sym
-        if direction == frontend.INTERPOLATE:
-            period = profile.l_sym * spec.up_factor // spec.down_factor
-    return frontend.resample(x, spec, direction, period)
-
-
-def _scale_section(factors: frontend.ScaleFactors, use_ec: bool) -> Section:
-    """Section kind 1: q_bs bits per factor, or with entropy coding an
-    in-section table (S_min and S_max in q_bs bits each, then one 8-bit code
-    length per value S_min..S_max) followed by the Huffman-coded factors."""
-    f = factors.factors
-    if not use_ec or f.size == 0:
-        payload, bits = pack_fixed(f, factors.q_bs)
-        return Section(SEC_SCALE, len(f), bits, payload)
-    lo, hi = int(f.min()), int(f.max())
-    offsets = f.astype(np.int64) - lo
-    table = ec.build_huffman(ec.estimate_pmf(offsets, hi - lo + 1))
-    payload, bits = concat_bits([
-        pack_fixed([lo, hi], factors.q_bs),
-        pack_fixed(table.code_lengths, 8),
-        ec.encode(table, offsets),
-    ])
-    return Section(SEC_SCALE, len(f), bits, payload)
-
-
-def _decode_scale_section(
-    sec: Section, bs: BlockScalingSpec, use_ec: bool, n_blocks: int
-) -> frontend.ScaleFactors:
-    """Inverse of _scale_section; any inconsistency is a malformed stream."""
-    if not use_ec or n_blocks == 0:
-        f = unpack_fixed(sec.payload, bs.q_bs, n_blocks)
-        if f.size and int(f.min()) < 1:
-            raise MalformedBitstreamError("zero block-scale factor")
-    else:
-        bits = unpack_bit_array(sec.payload, sec.bit_length)
-
-        def read(start, width, count):
-            if start + width * count > bits.size:
-                raise MalformedBitstreamError("truncated scale-factor table")
-            field = bits[start : start + width * count]
-            return unpack_fixed(pack_bit_array(field), width, count)
-
-        head = 2 * bs.q_bs
-        lo, hi = (int(v) for v in read(0, bs.q_bs, 2))
-        if not 1 <= lo <= hi:
-            raise MalformedBitstreamError(
-                f"scale factor range [{lo}, {hi}] outside 1..2^{bs.q_bs}-1"
-            )
-        table = ec.table_from_lengths(read(head, 8, hi - lo + 1))
-        codes = pack_bit_array(bits[head + 8 * (hi - lo + 1) :])
-        f = ec.decode(table, codes, n_blocks) + lo
-    return frontend.ScaleFactors(bs.n_bs, bs.q_bs, f)
 
 
 def theorem_cr(
@@ -802,22 +831,22 @@ def theorem_cr(
 
 
 def compression_ratio(profile: CompressionProfile, stats: StageStats) -> float:
-    """Eq.-(5)-style composition from per-stage gains.
-
-    The side-information term accounts for one factor per n_bs samples of
-    the decimated stream (where block scaling actually operates) at its
-    emitted bits per factor (q_bs without entropy coding), so this formula
-    value must match the measured payload-bit ratio 2*q0*M / payload within
-    0.5% on every run.
-    """
-    inner = stats.cr_cpr * stats.cr_dec * stats.quantizer_gain
+    """Eq.-(5)-style composition from the stage gains and the side term in
+    the module docstring; it must match the measured payload-bit ratio
+    2*q0*M / payload within 0.5% on every run."""
+    gain = math.prod(s.gain for s in frontend_stages(profile))
     side = 0.0
-    if profile.block_scaling is not None:
-        bs = profile.block_scaling
-        side = stats.bs_bits_emitted / (
-            2.0 * profile.q0 * bs.n_bs * stats.cr_cpr * stats.cr_dec
-        )
-    return 1.0 / (1.0 / inner + side)
+    bs = profile.block_scaling
+    if bs is not None:
+        per_factor = stats.side_info_bits / max(-(-stats.m_dec // bs.n_bs), 1)
+        side = per_factor / (2.0 * profile.q0 * bs.n_bs * gain)
+    return 1.0 / (1.0 / (gain * stats.quantizer_gain) + side)
+
+
+def _sized(x: IQStream, m: int) -> IQStream:
+    if len(x) != m:
+        raise MalformedBitstreamError(f"{len(x)} samples where {m} were sent")
+    return x
 
 
 def decompress(
@@ -831,46 +860,18 @@ def decompress(
         raise DigestMismatchError(
             "bitstream was produced under a different profile"
         )
-    rate_in = bits.sample_rate
-    rate_dec = rate_in
-    m_after_cp = bits.m_in
-    if profile.cp_removal:
-        m_after_cp = bits.m_in // (profile.l_sym + profile.l_cp) * profile.l_sym
-    if profile.decimation is not None:
-        spec = profile.decimation
-        rate_dec = rate_in * Fraction(spec.up_factor, spec.down_factor)
-        if (
-            profile.cp_removal
-            and bits.m_dec * spec.down_factor != m_after_cp * spec.up_factor
-        ):
-            raise MalformedBitstreamError(
-                "decimated sample count does not match the symbol count"
-            )
-
-    x = profile.quantizer.dequantize(bits, profile, codebooks, rate_dec)
-    if len(x) != bits.m_dec:
-        raise MalformedBitstreamError("reconstructed sample count mismatch")
-
-    if profile.block_scaling is not None:
-        bs = profile.block_scaling
-        n_blocks = -(-bits.m_dec // bs.n_bs)
-        factors = _decode_scale_section(
-            bits.section(SEC_SCALE, n_blocks), bs, profile.entropy_coding,
-            n_blocks,
+    stages = frontend_stages(profile)
+    sizes = [(bits.m_in, bits.sample_rate)]
+    for stage in stages:
+        sizes.append(stage.size(*sizes[-1]))
+    if sizes[-1][0] != bits.m_dec:
+        raise MalformedBitstreamError(
+            f"header M_dec {bits.m_dec} != {sizes[-1][0]}, from M {bits.m_in}"
         )
-        x = frontend.block_unscale(x, factors, profile.quantizer.scale_bits)
-
-    if profile.decimation is not None:
-        x = _resample(x, profile, frontend.INTERPOLATE)
-        if len(x) < m_after_cp:
-            raise MalformedBitstreamError("interpolated stream too short")
-        x = x.with_samples(x.samples[:m_after_cp], rate_in)
-
-    if profile.cp_removal:
-        x = frontend.reinsert_cp(x, profile.l_sym, profile.l_cp)
-    if len(x) != bits.m_in:
-        raise MalformedBitstreamError("decompressed length mismatch")
-    return x
+    x = profile.quantizer.dequantize(bits, profile, codebooks, sizes[-1][1])
+    for i in reversed(range(len(stages))):
+        x = stages[i].inverse(_sized(x, sizes[i + 1][0]), sizes[i][0], bits)
+    return _sized(x, bits.m_in)
 
 
 def train_for_profile(
@@ -911,22 +912,14 @@ def evaluate_chain(
         fd = float("nan")
     so = cs = 0
     if counter is not None:
-        from .metrics import complexity_counters
-
         so, cs = complexity_counters(stats)
-    bs = profile.block_scaling
-    literal = theorem_cr(
-        stats.cr_cpr, stats.cr_dec, stats.quantizer_gain, 1.0,
-        bs.q_bs if bs else 0, bs.n_bs if bs else 1, profile.q0,
-    )
     return EvalReport(
         evm_td_pct=td,
         evm_fd_pct=fd,
         cr_formula=compression_ratio(profile, stats),
         cr_measured=stats.cr_measured,
-        cr_formula_literal=literal,
         cr_measured_no_side_info=2 * profile.q0 * stats.m_in
-        / max(stats.quantizer_bits, 1),
+        / max(stats.payload_bits - stats.side_info_bits, 1),
         so_measured=so,
         cs_measured=cs,
         l_huff=stats.l_huff_emitted,

@@ -34,6 +34,7 @@ from .vq_core import (
     LloydStop,
     SearchCounter,
     _nearest,
+    check_trainer,
     codebook_size,
     load_codebook,
     save_codebook,
@@ -79,7 +80,7 @@ class UpmgqCodebook:
         self.low_sq = np.asarray(self.low_sq, dtype=np.float64)
 
 
-@dataclass
+@dataclass(eq=False)
 class UpmgqIndices:
     """Quantizer output: per-component sign bits and G3 codes (component
     order is all I, then all Q), plus per-vector G2 indices."""
@@ -158,6 +159,7 @@ def train_upmgq(
     are integer multiples of 2^theta by construction) and usage counts are
     re-measured on the rounded codebook for the Huffman table.
     """
+    check_trainer(trainer)
     if len(stream) == 0:
         raise ContractViolationError("empty stream")
     stop = stop or LloydStop()

@@ -28,7 +28,7 @@ class VectorLayout(str, enum.Enum):
     METHOD3 = "method3_random"
 
 
-@dataclass
+@dataclass(eq=False)
 class VectorBatch:
     l_vq: int
     vectors: np.ndarray  # (count, l_vq) float64

@@ -358,6 +358,11 @@ def _best_of_trials(vectors, q_vq, trials, stop, seed, algorithm, init):
     return Codebook(l_vq, q_vq, cw, usage, meta)
 
 
+def check_trainer(name: str) -> None:
+    if name not in (CLASSICAL, MODIFIED):
+        raise ContractViolationError(f"unknown trainer {name!r}")
+
+
 def train_classical(
     vectors, q_vq: int, trials: int, stop: LloydStop = None, seed: int = 0
 ) -> Codebook:

@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from fvq import cli
+import fvq
+from fvq import cli, pipeline
 from fvq.iqstream import read_iqf1
 from fvq.pipeline import SEC_VQ_IDX, Bitstream
+from tests.conftest import make_corpus
 
 
 @pytest.fixture
@@ -173,10 +175,46 @@ class TestTrainCompressDecompress:
                   "--out", tmp_path / "c.cpz")
         assert rc == 4
 
+    def test_unknown_trainer_exit_code_4(self, profile_path, tmp_path):
+        corpus = tmp_path / "c.iqf"
+        assert _run("gen", "--profile", profile_path, "--out", corpus) == 0
+        assert _run("train", "--profile", profile_path, "--in", corpus,
+                    "--set", "training.trainer=bogus",
+                    "--out", tmp_path / "cb.vqcb") == 4
+
     def test_usage_error_exit_code_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["no-such-command"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--report", "json"],
+        ["gen", "--threads", "2"],
+        ["compress", "--in", "IN", "--threads", "2"],
+        ["sweep", "--report", "json"],
+    ], ids=["gen-report", "gen-threads", "compress-threads", "sweep-report"])
+    def test_option_of_another_command_exit_code_2(self, tmp_path, argv):
+        # --threads is read only by eval and sweep, --report only by eval
+        argv = [tmp_path / "c.iqf" if a == "IN" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            _run(*argv, "--out", tmp_path / "out")
+        assert exc.value.code == 2
+
+    def test_stage_table(self, capsys):
+        profile = pipeline.CompressionProfile(
+            link="downlink", cp_removal=True,
+            decimation=fvq.ResamplerSpec(5, 8),
+            block_scaling=pipeline.BlockScalingSpec(32, 8),
+            quantizer=pipeline.RawSpec(), entropy_coding=False,
+        )
+        stream = make_corpus(2, seed=3, link="downlink_ofdm")
+        cli._print_stage_table(profile, pipeline.compress(stream, profile).stats)
+        lines = capsys.readouterr().out.splitlines()
+        assert [l.split(":")[0].strip() for l in lines] == [
+            "CR (stage formula)", "CR (measured bits)", "stage gains",
+            "payload bits",
+        ]
+        assert lines[2].endswith("CPR 1.1250 x DEC 1.6000 x Q 1.0000")
 
 
 class TestSweep:
@@ -263,7 +301,7 @@ class TestEval:
         assert _run("eval", "--profile", p, "--report", "json",
                     "--out", out_dir) == 0
         report = json.loads((out_dir / "mismatch.json").read_text())
-        assert report["schema"] == "fvq-eval-1"
+        assert report["schema"] == "fvq-eval-2"
         evm = np.array(report["evm_fd_pct"])
         assert evm.shape == (2, 2)
         assert (evm > 0).all()

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import fvq
+from bench import workloads
 from fvq import frontend, pipeline
-from fvq.bitio import pack_bit_array, unpack_bit_array, unpack_fixed
+from fvq.bitio import pack_bit_array, pack_fixed, unpack_bit_array, unpack_fixed
 from fvq.errors import (
     ContractViolationError,
     DigestMismatchError,
@@ -239,6 +240,88 @@ class TestRoundTrip:
         assert evm < 0.1
 
 
+class TestHeaderSizes:
+    """decompress walks the stage sizes forward from the header's M and rate
+    and refuses a header they do not fit."""
+
+    def test_m_dec_contradicting_m_is_malformed(self):
+        prof = CompressionProfile(
+            link="uplink", decimation=fvq.ResamplerSpec(5, 8),
+            quantizer=RawSpec(), entropy_coding=False,
+        )
+        rng = np.random.default_rng(36)
+        s = fvq.IQStream(rng.standard_normal(800) + 1j * rng.standard_normal(800))
+        frame = pipeline.compress(s, prof)
+        assert (frame.m_in, frame.m_dec) == (800, 500)
+        # M_dec raised by 7, with a raw section holding 7 more samples
+        frame.m_dec += 7
+        sec = frame.section(pipeline.SEC_RAW)
+        codes = unpack_fixed(sec.payload, prof.q0, sec.item_count)
+        zero = np.full(7, 1 << (prof.q0 - 1))
+        codes = np.concatenate([codes[:500], zero, codes[500:], zero])
+        payload, nbits = pack_fixed(codes, prof.q0)
+        frame.sections = [
+            pipeline.Section(pipeline.SEC_RAW, len(codes), nbits, payload)
+        ]
+        with pytest.raises(MalformedBitstreamError, match="M_dec"):
+            pipeline.decompress(frame.to_bytes(), prof)
+
+    def test_empty_decimated_frame_is_malformed(self):
+        # compress refuses to resample an empty stream, so no such frame is
+        # valid; decompress must not reach the resampler's contract check
+        prof = CompressionProfile(
+            link="uplink", decimation=fvq.ResamplerSpec(5, 8),
+            quantizer=RawSpec(), entropy_coding=False,
+        )
+        frame = pipeline.compress(fvq.IQStream(np.full(16, 0.5 + 0.5j)), prof)
+        frame.m_in = frame.m_dec = 0
+        frame.sections = [pipeline.Section(pipeline.SEC_RAW, 0, 0, b"")]
+        with pytest.raises(MalformedBitstreamError, match="empty"):
+            pipeline.decompress(frame.to_bytes(), prof)
+
+    def test_m_not_whole_symbols_is_malformed(self):
+        prof = CompressionProfile(
+            link="downlink", cp_removal=True,
+            decimation=fvq.ResamplerSpec(5, 8), quantizer=RawSpec(),
+            entropy_coding=False,
+        )
+        frame = pipeline.compress(make_corpus(2, link="downlink_ofdm"), prof)
+        frame.m_in += 1
+        with pytest.raises(MalformedBitstreamError, match="whole symbols"):
+            pipeline.decompress(frame.to_bytes(), prof)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_compress_fills_the_stats_the_benchmark_reads(name):
+    profile = workloads.WORKLOADS[name].profile
+    frame = make_corpus(
+        2, snr_db=20.0, seed=37, link=workloads.WAVEFORM_LINK[profile.link]
+    )
+    cb = seeded_codebooks(profile.quantizer, seed=41)
+    bits = pipeline.compress(frame, profile, cb, fvq.SearchCounter())
+    st = bits.stats
+    assert st.m_dec == Bitstream.from_bytes(bits.to_bytes()).m_dec > 0
+    assert st.n_vectors > 0
+    assert st.side_info_bits == bits.section(pipeline.SEC_SCALE).bit_length > 0
+    if profile.quantizer.kind == "upmgq":
+        assert st.l_high > 0
+    else:
+        assert st.l_huff_emitted > 0
+    assert st.search_counters
+    assert all(c.distance_evals > 0 for c in st.search_counters.values())
+
+
+@pytest.mark.parametrize("quantizer", [
+    VqSpec(1, 2), MsvqSpec(1, 1, 1), UpmgqSpec(0, 2, 1, 1, 4),
+], ids=["vq", "msvq", "upmgq"])
+def test_unknown_trainer_refused(quantizer):
+    prof = CompressionProfile(quantizer=quantizer)
+    with pytest.raises(ContractViolationError, match="unknown trainer"):
+        pipeline.train_for_profile(
+            make_corpus(1, seed=3), prof, trainer="bogus", trials=1
+        )
+
+
 def _scale_bits(blob):
     sec = Bitstream.from_bytes(blob).section(pipeline.SEC_SCALE)
     return sec, unpack_bit_array(sec.payload, sec.bit_length)
@@ -446,5 +529,5 @@ class TestAccounting:
         )
         blob = rep.to_json()
         parsed = __import__("json").loads(blob)
-        assert parsed["schema"] == "fvq-eval-1"
+        assert parsed["schema"] == "fvq-eval-2"
         assert parsed["evm_fd_pct"] == pytest.approx(rep.evm_fd_pct)

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fvq import entropy, pipeline, vq_core
+from fvq import entropy, frontend, pipeline, upmgq, vq_core
 from fvq.errors import ContractViolationError, FormatError
+from fvq.iqstream import IQStream
+from fvq.vectorizer import VectorBatch, VectorLayout
 from fvq.vq_core import (
     Codebook,
     LloydStop,
@@ -209,8 +211,15 @@ def test_non_finite_vector_refused(call, bad, q_vq):
         lambda: _random_codebook(2, 2),
         lambda: seeded_codebooks(pipeline.MsvqSpec(2, 2, 2)),
         lambda: seeded_codebooks(pipeline.UpmgqSpec(-1, 3, 2, 2, 6)),
+        lambda: IQStream(np.ones(4, dtype=complex)),
+        lambda: VectorBatch(2, np.ones((2, 2)), VectorLayout.METHOD1),
+        lambda: frontend.ScaleFactors(32, 8, np.ones(3)),
+        lambda: upmgq.UpmgqIndices(
+            np.zeros(4, np.uint8), np.zeros(2, np.int64), np.zeros(4, np.int64), 4
+        ),
     ],
-    ids=["HuffmanTable", "Codebook", "MsvqCodebook", "UpmgqCodebook"],
+    ids=["HuffmanTable", "Codebook", "MsvqCodebook", "UpmgqCodebook",
+         "IQStream", "VectorBatch", "ScaleFactors", "UpmgqIndices"],
 )
 def test_artifact_equality_is_identity(build):
     # their fields are arrays: == must answer, not raise
