@@ -45,6 +45,18 @@ def _parse_set(value):
     return key, parsed
 
 
+def _positive_count(value):
+    try:
+        count = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {value!r}"
+        ) from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _apply_overrides(config: dict, overrides):
     for key, value in overrides:
         node = config
@@ -349,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE", help="override profile entries")
         p.add_argument("--seed", type=int, default=None)
         if threads:
-            p.add_argument("--threads", type=int, default=1)
+            p.add_argument("--threads", type=_positive_count, default=1)
         if needs_in:
             p.add_argument("--in", required=True, help="input path")
         p.add_argument("--out", required=True, help="output path")

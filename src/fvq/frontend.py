@@ -7,8 +7,11 @@ integer scale factors.
 The resampler low-pass is a linear-phase windowed-sinc FIR with a Kaiser
 window. The prototype is designed at the upsampled rate with filter_taps taps
 per polyphase branch, i.e. filter_taps * max(K, L) taps total, cutoff at the
-narrower of the two Nyquist edges. Group delay is compensated inside the
-polyphase engine so input and output streams align sample-for-sample.
+narrower of the two Nyquist edges, and designed once per (filter_taps,
+stopband_atten_db, K, L). Group delay is compensated inside the polyphase
+engine so input and output streams align sample-for-sample. The taps are
+real, so the filter runs on I and Q as real rows in one call: each rail
+gets exactly the products and sums a complex filter would give it.
 
 A CP-removed downlink stream is a run of whole symbols, each one period of a
 band-limited signal, with nothing to absorb the filter transient where two
@@ -18,6 +21,7 @@ periods as that needs) and resampled on its own, so the output is the exact
 rate change of every symbol's periodic extension.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,13 +118,21 @@ def cp_removal_gain(l_sym: int, l_cp: int) -> float:
 
 
 def design_lowpass(spec: ResamplerSpec, up: int, down: int) -> np.ndarray:
-    """Windowed-sinc Kaiser prototype for one rate-change direction."""
+    """Windowed-sinc Kaiser prototype for one rate-change direction; a
+    read-only array shared by every call with the same design."""
+    return _kaiser_lowpass(spec.filter_taps, spec.stopband_atten_db, up, down)
+
+
+@functools.lru_cache(maxsize=16)
+def _kaiser_lowpass(filter_taps, stopband_atten_db, up, down):
     max_rate = max(up, down)
-    n_taps = spec.filter_taps * max_rate
+    n_taps = filter_taps * max_rate
     if n_taps % 2 == 0:
         n_taps += 1
-    beta = signal.kaiser_beta(spec.stopband_atten_db)
-    return signal.firwin(n_taps, 1.0 / max_rate, window=("kaiser", beta))
+    beta = signal.kaiser_beta(stopband_atten_db)
+    taps = signal.firwin(n_taps, 1.0 / max_rate, window=("kaiser", beta))
+    taps.flags.writeable = False
+    return taps
 
 
 def resample(
@@ -159,18 +171,24 @@ def resample(
         return stream.with_samples(stream.samples.copy(), new_rate)
     taps = design_lowpass(spec, up, down)
     if period is None:
-        out = signal.resample_poly(stream.samples, up, down, window=taps)
-        return stream.with_samples(out, new_rate)
-    # Circular extension: `pad` input samples each side, a multiple of down
-    # so the kept output block starts on an output sample, and at least one
-    # sample past the half-span of the filter at the input rate.
-    half_span = (len(taps) - 1) // 2 / up
-    pad = down * math.ceil((half_span + 1) / down)
-    wrap = np.arange(-pad, period + pad) % period
-    rows = stream.samples.reshape(-1, period)[:, wrap]
-    out = signal.resample_poly(rows, up, down, axis=1, window=taps)
-    start = pad * up // down
-    out = out[:, start : start + period * up // down]
+        rows = stream.samples[np.newaxis]
+    else:
+        # Circular extension: `pad` input samples each side, a multiple of
+        # down so the kept output block starts on an output sample, and at
+        # least one sample past the half-span of the filter at the input rate.
+        half_span = (len(taps) - 1) // 2 / up
+        pad = down * math.ceil((half_span + 1) / down)
+        wrap = np.arange(-pad, period + pad) % period
+        rows = stream.samples.reshape(-1, period)[:, wrap]
+    rails = signal.resample_poly(
+        np.concatenate([rows.real, rows.imag]), up, down, axis=-1, window=taps
+    )
+    if period is not None:
+        start = pad * up // down
+        rails = rails[:, start : start + period * up // down]
+    out = np.empty((len(rows), rails.shape[1]), dtype=np.complex128)
+    out.real = rails[: len(rows)]
+    out.imag = rails[len(rows) :]
     return stream.with_samples(out.ravel(), new_rate)
 
 
@@ -183,12 +201,15 @@ def block_scale(
     transmitted factor is S(b) = ceil(A(b)) clamped to 1..2^q_bs - 1 (an
     all-zero block gets S(b) = 1), and samples are multiplied by
     (2^q_vq - 1) / S(b). The final partial block is scaled like any other.
+    Samples must be finite.
     """
     if q_bs < 1 or q_vq < 1 or n_bs < 1:
         raise ContractViolationError("n_bs, q_bs, q_vq must be positive")
     m = len(stream)
     n_blocks = -(-m // n_bs)
     peak = np.maximum(np.abs(stream.samples.real), np.abs(stream.samples.imag))
+    if not np.isfinite(peak).all():
+        raise ContractViolationError("samples must be finite")
     padded = np.zeros(n_blocks * n_bs)
     padded[:m] = peak
     amp = padded.reshape(n_blocks, n_bs).max(axis=1)

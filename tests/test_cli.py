@@ -200,6 +200,16 @@ class TestTrainCompressDecompress:
             _run(*argv, "--out", tmp_path / "out")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_code_2(self, tmp_path, capsys, command,
+                                           threads):
+        # refused while parsing, before any worker pool starts
+        with pytest.raises(SystemExit) as exc:
+            _run(command, "--threads", threads, "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        assert "--threads: must be at least 1" in capsys.readouterr().err
+
     def test_stage_table(self, capsys):
         profile = pipeline.CompressionProfile(
             link="downlink", cp_removal=True,

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import signal
 
 import fvq
 from fvq import frontend
@@ -13,6 +14,50 @@ from fvq.iqstream import IQStream
 def _rand_stream(n, seed=0, rate=Fraction(15_360_000)):
     rng = np.random.default_rng(seed)
     return IQStream(rng.standard_normal(n) + 1j * rng.standard_normal(n), rate)
+
+
+def _complex_resample(samples, spec, up, down, period=None):
+    """Reference: the resampler as one complex resample_poly call, with the
+    Kaiser prototype designed afresh."""
+    max_rate = max(up, down)
+    n_taps = spec.filter_taps * max_rate
+    if n_taps % 2 == 0:
+        n_taps += 1
+    beta = signal.kaiser_beta(spec.stopband_atten_db)
+    taps = signal.firwin(n_taps, 1.0 / max_rate, window=("kaiser", beta))
+    if period is None:
+        return signal.resample_poly(samples, up, down, window=taps)
+    half_span = (len(taps) - 1) // 2 / up
+    pad = down * math.ceil((half_span + 1) / down)
+    wrap = np.arange(-pad, period + pad) % period
+    rows = samples.reshape(-1, period)[:, wrap]
+    out = signal.resample_poly(rows, up, down, axis=1, window=taps)
+    start = pad * up // down
+    return out[:, start : start + period * up // down].ravel()
+
+
+def _signal_kinds(n, seed):
+    """Complex, all-zero (both signs), purely real and purely imaginary."""
+    rng = np.random.default_rng(seed)
+    re, im = rng.standard_normal(n), rng.standard_normal(n)
+    return {
+        "complex": re + 1j * im,
+        "zero": np.zeros(n, complex),
+        "negative-zero": np.full(n, complex(-0.0, -0.0)),
+        "real": re + 0j,
+        "imaginary": 1j * im,  # real parts are +0 and -0
+    }
+
+
+def _assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(
+        np.ascontiguousarray(actual).view(np.uint64),
+        np.ascontiguousarray(expected).view(np.uint64),
+    )
+
+
+RATIOS = [(5, 8), (3, 4), (2, 3), (1, 2), (4, 5)]
 
 
 class TestCpRemoval:
@@ -137,6 +182,51 @@ class TestResample:
                 linear[2 * 640 : 3 * 640], rtol=0, atol=1e-12,
             )
 
+    @pytest.mark.parametrize("direction", [frontend.DECIMATE,
+                                           frontend.INTERPOLATE])
+    @pytest.mark.parametrize("filter_taps", [31, 127])
+    @pytest.mark.parametrize("k,l", RATIOS)
+    def test_bit_identical_to_complex_filter(self, k, l, filter_taps,
+                                             direction):
+        # I and Q filtered as real rows give the complex filter's bits
+        spec = frontend.ResamplerSpec(k, l, filter_taps)
+        up, down = (k, l) if direction == frontend.DECIMATE else (l, k)
+        n_taps = filter_taps * max(k, l)
+        # shorter than the filter, and several filter spans long
+        for n in (1, 7, n_taps // 2, 3 * n_taps + 5):
+            for x in _signal_kinds(n, seed=n).values():
+                out = frontend.resample(IQStream(x), spec, direction)
+                _assert_same_bits(
+                    out.samples, _complex_resample(x, spec, up, down)
+                )
+        # periods shorter than the circular pad, and LTE-sized ones
+        for period in (down, 3 * down, 128 * down):
+            for n_periods in range(1, 15) if period < 128 * down else (1, 3):
+                n = period * n_periods
+                for x in _signal_kinds(n, seed=n).values():
+                    out = frontend.resample(IQStream(x), spec, direction,
+                                            period=period)
+                    _assert_same_bits(
+                        out.samples,
+                        _complex_resample(x, spec, up, down, period),
+                    )
+
+    def test_filter_designed_once_per_spec(self):
+        spec = frontend.ResamplerSpec(5, 8)
+        taps = frontend.design_lowpass(spec, 5, 8)
+        assert frontend.design_lowpass(frontend.ResamplerSpec(5, 8), 5, 8) \
+            is taps
+        # reduced by gcd to the same design
+        assert frontend.design_lowpass(frontend.ResamplerSpec(10, 16), 5, 8) \
+            is taps
+        with pytest.raises(ValueError):
+            taps[0] = 1.0
+        for other in (frontend.ResamplerSpec(5, 8, filter_taps=31),
+                      frontend.ResamplerSpec(5, 8, stopband_atten_db=80.0)):
+            assert not np.array_equal(
+                frontend.design_lowpass(other, 5, 8), taps
+            )
+
     def test_periodic_needs_whole_integer_periods(self):
         spec = frontend.ResamplerSpec(5, 8)
         with pytest.raises(ContractViolationError):  # 1020 * 5/8 = 637.5
@@ -216,6 +306,15 @@ class TestBlockScaling:
         scaled, sf = frontend.block_scale(IQStream(samples), 32, 8, 6)
         assert set(sf.factors.tolist()) == {255}
         np.testing.assert_allclose(scaled.samples, samples * 63 / 255)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rail", ["I", "Q"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_refused(self, bad, rail):
+        samples = _rand_stream(100).samples
+        samples[37] = complex(bad, 0.5) if rail == "I" else complex(0.5, bad)
+        with pytest.raises(ContractViolationError, match="must be finite"):
+            frontend.block_scale(IQStream(samples), 32, 8, 6)
 
     def test_single_block_factor_one(self):
         samples = np.full(16, 0.0 + 0j)

@@ -398,6 +398,17 @@ class TestScaleSection:
             return _replace_scale_section(coded, item_count=sec.item_count + 1)
         raise AssertionError(case)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_refused(
+        self, uplink_corpus, small_uplink_profile, small_vq_codebook, bad
+    ):
+        samples = uplink_corpus.samples.copy()
+        samples[100] = complex(bad, 0.0)
+        with pytest.raises(ContractViolationError, match="must be finite"):
+            pipeline.compress(uplink_corpus.with_samples(samples),
+                              small_uplink_profile, small_vq_codebook)
+
     def test_zero_fixed_factor_is_malformed(
         self, uplink_corpus, small_uplink_profile, small_vq_codebook
     ):
