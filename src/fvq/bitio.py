@@ -8,8 +8,8 @@ from .errors import ContractViolationError, MalformedBitstreamError
 def pack_fixed(values, width: int) -> tuple[bytes, int]:
     """Pack unsigned integers into `width` bits each; returns (bytes, bit length)."""
     values = np.asarray(values, dtype=np.uint64)
-    if width < 1 or width > 64:
-        raise ContractViolationError("width must be in 1..64")
+    if width < 0 or width > 64:
+        raise ContractViolationError("width must be in 0..64")
     if values.size and int(values.max()) >> width:
         raise ContractViolationError(f"value does not fit in {width} bits")
     shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)

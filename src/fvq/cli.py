@@ -95,7 +95,7 @@ def _profile_from(config: dict) -> pipeline.CompressionProfile:
     return pipeline.CompressionProfile.from_dict(chain)
 
 
-def _waveform_config(block: dict) -> waveform.WaveformConfig:
+def _waveform_config(block: dict) -> tuple[waveform.WaveformConfig, str]:
     block = dict(block or {})
     if isinstance(block.get("snr_db"), str):
         block["snr_db"] = float(block["snr_db"])
@@ -115,6 +115,16 @@ def _gen_corpus(block: dict):
         raise ContractViolationError(f"unknown channel {channel!r}")
     stream.meta["channel"] = channel
     return stream
+
+
+def _corpus_pair(wf: dict, block: dict):
+    """(train, eval) corpora from one waveform block; the eval corpus's seed
+    is the train seed plus the block's eval_seed_offset (default 7777)."""
+    wf_eval = dict(wf)
+    wf_eval["seed"] = int(wf.get("seed", 0)) + int(
+        block.get("eval_seed_offset", 7777)
+    )
+    return _gen_corpus(wf), _gen_corpus(wf_eval)
 
 
 def _write_sidecar(out_path, command, config):
@@ -216,17 +226,11 @@ def cmd_eval(args) -> int:
     if not block or "corpora" not in block:
         raise ContractViolationError('profile needs an "eval" block with "corpora"')
     opts = _trainer_opts(config)
-    eval_seed_offset = int(block.get("eval_seed_offset", 7777))
-    corpora_spec = block["corpora"]
-    train_corpora = {}
-    eval_corpora = {}
-    for label, wf in corpora_spec.items():
-        train_corpora[label] = _gen_corpus(wf)
-        wf_eval = dict(wf)
-        wf_eval["seed"] = int(wf.get("seed", 0)) + eval_seed_offset
-        eval_corpora[label] = _gen_corpus(wf_eval)
+    train_corpora, eval_corpora = {}, {}
+    for label, wf in block["corpora"].items():
+        train_corpora[label], eval_corpora[label] = _corpus_pair(wf, block)
 
-    labels = list(corpora_spec)
+    labels = list(block["corpora"])
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
         trained = pool.map(
             lambda lab: pipeline.train_for_profile(
@@ -269,12 +273,9 @@ def cmd_sweep(args) -> int:
         "evm_td_pct", "evm_fd_pct", "so", "cs",
     ]
     if points:
-        train_corpus = _gen_corpus(config.get("waveform", {}))
-        eval_wf = dict(config.get("waveform", {}))
-        eval_wf["seed"] = int(eval_wf.get("seed", 0)) + int(
-            block.get("eval_seed_offset", 7777)
+        train_corpus, eval_corpus = _corpus_pair(
+            config.get("waveform", {}), block
         )
-        eval_corpus = _gen_corpus(eval_wf)
 
         def run_point(point):
             prof = _profile_from({

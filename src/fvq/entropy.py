@@ -91,6 +91,8 @@ class _Decoder(NamedTuple):
 def _canonical_decoder(code_lengths) -> _Decoder:
     lengths = np.asarray(code_lengths, dtype=np.int64)
     max_len = int(lengths.max())
+    if max_len > 64:
+        raise ContractViolationError("code length exceeds 64 bits")
     num = np.bincount(lengths, minlength=max_len + 1).tolist()
     first_code = np.zeros(max_len + 1, dtype=np.uint64)
     first_pos = np.zeros(max_len + 1, dtype=np.int64)
@@ -112,6 +114,10 @@ def _canonical_decoder(code_lengths) -> _Decoder:
     )
 
 
+def _kraft_sum(code_lengths) -> float:
+    return float(np.sum(2.0 ** -np.asarray(code_lengths, dtype=np.float64)))
+
+
 @dataclass(eq=False)
 class HuffmanTable:
     """A canonical code; treat it as immutable, since decoding caches
@@ -127,7 +133,7 @@ class HuffmanTable:
         return len(self.code_lengths)
 
     def kraft_sum(self) -> float:
-        return float(np.sum(2.0 ** (-self.code_lengths.astype(np.float64))))
+        return _kraft_sum(self.code_lengths)
 
     @functools.cached_property
     def _decoder(self) -> _Decoder:
@@ -154,21 +160,14 @@ def build_huffman(pmf) -> HuffmanTable:
 
 def canonical_codes(lengths) -> np.ndarray:
     """Assign canonical codewords from code lengths (sorted by length, then
-    symbol index)."""
+    symbol index): a symbol's code is its length's first code plus its
+    offset from that length's first position in canonical order."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    codes = np.zeros(len(lengths), dtype=np.uint64)
-    if len(lengths) == 1:
-        return codes
-    order = np.lexsort((np.arange(len(lengths)), lengths))
-    code = 0
-    prev_len = int(lengths[order[0]])
-    for sym in order:
-        ln = int(lengths[sym])
-        code <<= ln - prev_len
-        codes[sym] = code
-        code += 1
-        prev_len = ln
-    return codes
+    dec = _canonical_decoder(lengths)
+    rank = np.empty(len(lengths), dtype=np.int64)
+    rank[dec.order] = np.arange(len(lengths))
+    offset = (rank - dec.first_pos[lengths]).astype(np.uint64)
+    return dec.first_code[lengths] + offset
 
 
 def table_from_counts(counts, alphabet_size: int) -> HuffmanTable:
@@ -203,8 +202,6 @@ def encode(table: HuffmanTable, indices) -> tuple[bytes, int]:
     lens = table.code_lengths[indices]
     codes = table.codes[indices]
     total = int(lens.sum())
-    if total == 0:
-        return b"", 0
     offsets = np.cumsum(lens) - lens
     bits = np.zeros(total, dtype=np.uint8)
     for b in range(int(lens.max())):
@@ -320,7 +317,6 @@ def table_from_lengths(lengths) -> HuffmanTable:
         raise MalformedBitstreamError("empty Huffman table")
     if int(lengths.max()) > 64:
         raise MalformedBitstreamError("code length exceeds 64 bits")
-    table = HuffmanTable(lengths, canonical_codes(lengths), 0.0)
-    if table.kraft_sum() > 1.0 + 1e-9:
+    if _kraft_sum(lengths) > 1.0 + 1e-9:
         raise MalformedBitstreamError("code lengths violate Kraft inequality")
-    return table
+    return HuffmanTable(lengths, canonical_codes(lengths), 0.0)

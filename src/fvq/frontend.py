@@ -92,24 +92,20 @@ def remove_cp(stream: IQStream, l_sym: int, l_cp: int) -> IQStream:
         raise ContractViolationError(
             f"stream length {len(stream)} not divisible by {step}"
         )
-    if l_cp == 0:
-        return stream.with_samples(stream.samples.copy())
     body = stream.samples.reshape(-1, step)[:, l_cp:]
-    return stream.with_samples(body.ravel())
+    return stream.with_samples(body.flatten())
 
 
 def reinsert_cp(stream: IQStream, l_sym: int, l_cp: int) -> IQStream:
     """Prepend each l_sym-sample symbol's tail as its cyclic prefix."""
-    if l_sym < 1 or l_cp < 0:
+    if l_sym < 1 or not 0 <= l_cp <= l_sym:
         raise ContractViolationError("bad symbol geometry")
     if len(stream) % l_sym:
         raise ContractViolationError(
             f"stream length {len(stream)} not divisible by {l_sym}"
         )
-    if l_cp == 0:
-        return stream.with_samples(stream.samples.copy())
     body = stream.samples.reshape(-1, l_sym)
-    out = np.concatenate([body[:, -l_cp:], body], axis=1)
+    out = np.concatenate([body[:, l_sym - l_cp :], body], axis=1)
     return stream.with_samples(out.ravel())
 
 

@@ -20,18 +20,22 @@ from .iqstream import IQStream
 REPORT_SCHEMA = "fvq-eval-2"
 
 
-def evm_td(input_stream: IQStream, output_stream: IQStream) -> float:
-    """100 * sqrt(sum |in - out|^2 / sum |in|^2)."""
-    a, b = input_stream.samples, output_stream.samples
+def _evm_pct(a: np.ndarray, b: np.ndarray, where: str) -> float:
+    """100 * sqrt(sum |a - b|^2 / sum |a|^2), for equal-length a and b."""
     if len(a) != len(b):
         raise ContractViolationError(
             f"length mismatch: {len(a)} vs {len(b)}"
         )
     energy = float(np.sum(np.abs(a) ** 2))
     if energy == 0.0:
-        raise ContractViolationError("zero-energy input")
+        raise ContractViolationError(f"zero energy in {where}")
     err = float(np.sum(np.abs(a - b) ** 2))
     return 100.0 * np.sqrt(err / energy)
+
+
+def evm_td(input_stream: IQStream, output_stream: IQStream) -> float:
+    """100 * sqrt(sum |in - out|^2 / sum |in|^2)."""
+    return _evm_pct(input_stream.samples, output_stream.samples, "the input")
 
 
 def evm_fd(
@@ -51,21 +55,14 @@ def evm_fd(
     if band.min() < 0 or band.max() >= fft_size:
         raise ContractViolationError("band index outside 0..fft_size-1")
     a, b = input_stream.samples, output_stream.samples
-    if len(a) != len(b):
+    if len(a) == 0 or len(a) % fft_size or len(b) != len(a):
         raise ContractViolationError(
-            f"length mismatch: {len(a)} vs {len(b)}"
-        )
-    if len(a) == 0 or len(a) % fft_size:
-        raise ContractViolationError(
-            f"stream length {len(a)} is not a multiple of fft_size"
+            f"stream lengths {len(a)} and {len(b)} are not one multiple "
+            f"of fft_size"
         )
     fa = np.fft.fft(a.reshape(-1, fft_size), axis=1)[:, band]
     fb = np.fft.fft(b.reshape(-1, fft_size), axis=1)[:, band]
-    energy = float(np.sum(np.abs(fa) ** 2))
-    if energy == 0.0:
-        raise ContractViolationError("zero energy in the utilized band")
-    err = float(np.sum(np.abs(fa - fb) ** 2))
-    return 100.0 * np.sqrt(err / energy)
+    return _evm_pct(fa, fb, "the utilized band")
 
 
 @dataclass

@@ -207,7 +207,7 @@ def load_msvq(path) -> MsvqCodebook:
         stage2 = []
         for k in range(codebook_size(l, q1)):
             sub = load_codebook(fh)
-            if q2 > 0 and sub.size != codebook_size(l, q2):
+            if (sub.l_vq, sub.q_vq) != (l, q2):
                 raise FormatError("stage-2 block geometry mismatch")
             stage2.append(sub)
     return MsvqCodebook(stage1, stage2, l, q1, q2)

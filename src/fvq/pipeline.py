@@ -60,7 +60,7 @@ import json
 import logging
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -331,8 +331,6 @@ class UpmgqSpec:
             return Section(
                 SEC_G3, len(codes), len(head) * 8 + bits, head + payload
             )
-        if self.q_low == 0:
-            return Section(SEC_G3, len(codes), 0, b"")
         payload, bits = pack_fixed(codes, self.q_low)
         return Section(SEC_G3, len(codes), bits, payload)
 
@@ -350,9 +348,12 @@ class UpmgqSpec:
     def _decode_g3(self, sec, n: int) -> np.ndarray:
         if self.g3_entropy:
             table, consumed = ec.parse_table(sec.payload)
+            if table.alphabet_size != 1 << self.q_low:
+                raise MalformedBitstreamError(
+                    f"G3 table of {table.alphabet_size} symbols for "
+                    f"q_low = {self.q_low}"
+                )
             return ec.decode(table, sec.payload[consumed:], n)
-        if self.q_low == 0:
-            return np.zeros(n, dtype=np.int64)
         return unpack_fixed(sec.payload, self.q_low, n).astype(np.int64)
 
     def gain_stats(self, stats, q0):
@@ -387,6 +388,8 @@ class RawSpec:
 
     def quantize(self, x, profile, cb, bits, counter):
         comps = np.concatenate([x.samples.real, x.samples.imag])
+        if not np.isfinite(comps).all():
+            raise ContractViolationError("samples must be finite")
         peak = float(np.max(np.abs(comps))) if comps.size else 0.0
         half = 1 << (profile.q0 - 1)
         bits.raw_scale = (half - 1) / peak if peak > 0 else 1.0
@@ -459,24 +462,9 @@ class CompressionProfile:
         return subcarrier_indices(self.l_sym, self.used_subcarriers)
 
     def to_dict(self) -> dict:
-        d = {
-            "link": self.link,
-            "l_sym": self.l_sym,
-            "l_cp": self.l_cp,
-            "used_subcarriers": self.used_subcarriers,
-            "cp_removal": self.cp_removal,
-            "decimation": None,
-            "block_scaling": None,
-            "quantizer": dict(kind=self.quantizer.kind, **vars(self.quantizer)),
-            "entropy_coding": self.entropy_coding,
-            "vector_method": self.vector_method.value,
-            "vector_seed": self.vector_seed,
-            "q0": self.q0,
-        }
-        if self.decimation is not None:
-            d["decimation"] = vars(self.decimation)
-        if self.block_scaling is not None:
-            d["block_scaling"] = vars(self.block_scaling)
+        d = asdict(self)
+        d["quantizer"]["kind"] = self.quantizer.kind
+        d["vector_method"] = self.vector_method.value
         return d
 
     @classmethod

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError, FormatError
-from .entropy import HuffmanTable, build_huffman, estimate_pmf
+from .entropy import HuffmanTable, build_huffman, estimate_pmf, table_from_lengths
 from .iqstream import IQStream
 from .vectorizer import VectorBatch, VectorLayout, devectorize, vectorize
 from .vq_core import (
@@ -100,10 +100,8 @@ def expand(sample: float, theta: int) -> tuple[int, float, float]:
     """
     if not math.isfinite(sample):
         raise ContractViolationError("sample must be finite")
-    sign = -1 if sample < 0 else 1
-    mag = abs(float(sample))
-    high = math.ldexp(math.floor(math.ldexp(mag, -theta)), theta)
-    return sign, high, mag - high
+    neg, high, low = _expand_components(np.float64(sample), theta)
+    return -1 if neg else 1, float(high), float(low)
 
 
 def _expand_components(components: np.ndarray, theta: int):
@@ -287,8 +285,6 @@ def save_upmgq(cb: UpmgqCodebook, cfg: UpmgqConfig, path) -> None:
 
 
 def load_upmgq(path) -> tuple[UpmgqCodebook, UpmgqConfig]:
-    from .entropy import canonical_codes
-
     with open(path, "rb") as fh:
         header = fh.read(14)
         if len(header) < 14 or header[:8] != UPMG_MAGIC:
@@ -305,7 +301,8 @@ def load_upmgq(path) -> tuple[UpmgqCodebook, UpmgqConfig]:
         lens_raw = fh.read(high_vq.size)
         if len(low_raw) < 4 * n_low or len(lens_raw) < high_vq.size:
             raise FormatError("truncated UPMG body")
+        if low_raw != _low_grid(cfg).astype("<f4").tobytes():
+            raise FormatError("G3 grid is not the configuration's midpoints")
         low_sq = np.frombuffer(low_raw, dtype="<f4").astype(np.float64)
-        lengths = np.frombuffer(lens_raw, dtype=np.uint8).astype(np.int64)
-        table = HuffmanTable(lengths, canonical_codes(lengths), 0.0)
+        table = table_from_lengths(np.frombuffer(lens_raw, dtype=np.uint8))
     return UpmgqCodebook(high_vq, low_sq, table, theta, q_low), cfg

@@ -70,7 +70,7 @@ _NEAR_TIE = 1e-9
 # percent), so each new trial aims slightly above the corpus RMS; the
 # following descent then reabsorbs the inflated periphery, which is what
 # actually evades the previous local optimum. Results are flat across
-# 1.1..1.5; see the decimation/training notes in the test suite.
+# 1.1..1.5.
 _RESCALE_OVERSHOOT = 1.2
 
 
@@ -263,7 +263,7 @@ def _recenter(vectors, idx, dist, codewords, corpus_rms):
 
 
 def lloyd_iterate(vectors, codebook: Codebook):
-    """One partition/update step.
+    """One partition/update step: a one-iteration `_descent`.
 
     Returns (new codebook, mean squared distortion of the new codebook). The
     returned codebook carries usage counts from its own assignment pass.
@@ -274,13 +274,10 @@ def lloyd_iterate(vectors, codebook: Codebook):
     if vecs.shape[1] != codebook.l_vq:
         raise ContractViolationError("vector length != codebook l_vq")
     rms = float(np.sqrt(np.mean(vecs**2)))
-    idx, dist = _assign(vecs, codebook.codewords)
-    new_cw, _ = _recenter(vecs, idx, dist, codebook.codewords, rms)
-    new_idx, new_dist = _assign(vecs, new_cw)
-    usage = np.bincount(new_idx, minlength=len(new_cw)).astype(np.uint64)
-    out = Codebook(codebook.l_vq, codebook.q_vq, new_cw, usage,
+    cw, d, _, usage, _ = _descent(vecs, codebook.codewords, LloydStop(1), rms)
+    out = Codebook(codebook.l_vq, codebook.q_vq, cw, usage,
                    codebook.training_meta)
-    return out, float(new_dist.mean())
+    return out, d
 
 
 def _descent(vectors, init_codewords, stop: LloydStop, corpus_rms):
@@ -322,13 +319,6 @@ def _seed_key(seed) -> list:
     return [int(seed)]
 
 
-def _validate_training(vecs, size):
-    if len(vecs) < size:
-        raise ContractViolationError(
-            f"{len(vecs)} training vectors for a {size}-codeword codebook"
-        )
-
-
 def _best_of_trials(vectors, q_vq, trials, stop, seed, algorithm, init):
     """Run `trials` Lloyd descents and return the codebook with the lowest
     final distortion. `init(t, vecs, size, key, rms, prev)` gives trial t's
@@ -340,7 +330,10 @@ def _best_of_trials(vectors, q_vq, trials, stop, seed, algorithm, init):
         raise ContractViolationError("trials must be >= 1")
     l_vq = vecs.shape[1]
     size = codebook_size(l_vq, q_vq)
-    _validate_training(vecs, size)
+    if len(vecs) < size:
+        raise ContractViolationError(
+            f"{len(vecs)} training vectors for a {size}-codeword codebook"
+        )
     rms = float(np.sqrt(np.mean(vecs**2)))
     key = _seed_key(seed)
     best = None

@@ -137,8 +137,8 @@ def generate(config: WaveformConfig) -> IQStream:
     grid[:, subcarrier_indices(config.fft_size, config.used_subcarriers)] = syms
     body = np.fft.ifft(grid, axis=1)
 
-    if config.cp_length:
-        body = np.concatenate([body[:, -config.cp_length :], body], axis=1)
+    tail = body[:, config.fft_size - config.cp_length :]
+    body = np.concatenate([tail, body], axis=1)
     samples = body.ravel()
     samples = samples / math.sqrt(np.mean(np.abs(samples) ** 2))
 

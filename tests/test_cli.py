@@ -8,7 +8,7 @@ import fvq
 from fvq import cli, pipeline
 from fvq.iqstream import read_iqf1
 from fvq.pipeline import SEC_VQ_IDX, Bitstream
-from tests.conftest import make_corpus
+from tests.conftest import make_corpus, seeded_codebooks
 
 
 @pytest.fixture
@@ -166,6 +166,23 @@ class TestTrainCompressDecompress:
         bad.write_bytes(frame.to_bytes())
         rc = _run("decompress", "--profile", profile_path, "--in", bad,
                   "--out", tmp_path / "x.iqf")
+        assert rc == 3
+
+    def test_hostile_upmgq_code_lengths_exit_code_3(self, profile_path,
+                                                    tmp_path):
+        config = json.loads(profile_path.read_text())
+        config["quantizer"] = QUANTIZERS[2]
+        profile_path.write_text(json.dumps(config))
+        profile = cli._profile_from(config)
+        cb = seeded_codebooks(profile.quantizer, seed=4)
+        path, corpus = tmp_path / "cb.upmg", tmp_path / "c.iqf"
+        profile.quantizer.save(cb, path, profile.q0)
+        # every G2 code one bit long: a Kraft sum of 32
+        blob = path.read_bytes()
+        path.write_bytes(blob[: -cb.high_vq.size] + b"\x01" * cb.high_vq.size)
+        _run("gen", "--profile", profile_path, "--out", corpus)
+        rc = _run("compress", "--profile", profile_path, "--codebook", path,
+                  "--in", corpus, "--out", tmp_path / "c.cpz")
         assert rc == 3
 
     def test_missing_codebook_exit_code_4(self, profile_path, tmp_path):

@@ -63,6 +63,12 @@ class TestBuild:
         with pytest.raises(ContractViolationError):
             ec.build_huffman([0.5, 0.4])
 
+    def test_code_longer_than_64_bits_refused(self):
+        # a geometric PMF over 79 symbols needs a 78-bit code
+        pmf = 0.5 ** np.arange(1, 80)
+        with pytest.raises(ContractViolationError, match="64 bits"):
+            ec.build_huffman(pmf / pmf.sum())
+
     def test_kraft_on_every_table(self):
         rng = np.random.default_rng(11)
         for n in (2, 3, 17, 100):

@@ -101,6 +101,11 @@ class TestCpRemoval:
             frontend.reinsert_cp(s, 1024, 0).samples, s.samples
         )
 
+    def test_reinsert_prefix_longer_than_symbol_refused(self):
+        # a cyclic prefix is a copy of the symbol's tail, so at most l_sym
+        with pytest.raises(ContractViolationError, match="geometry"):
+            frontend.reinsert_cp(_rand_stream(8), 4, 5)
+
 
 class TestResample:
     def test_identity_when_factors_equal(self):

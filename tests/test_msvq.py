@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fvq import msvq as ms
-from fvq.errors import ContractViolationError
+from fvq.errors import ContractViolationError, FormatError
 from fvq.vq_core import Codebook, SearchCounter, quantize_batch, train_classical
 
 
@@ -119,3 +119,13 @@ class TestIo:
         assert len(loaded.stage2) == 16
         for a, b in zip(loaded.stage2, cb.stage2):
             np.testing.assert_array_equal(a.usage_counts, b.usage_counts)
+
+    def test_stage_2_blocks_must_have_q2_geometry(self, tmp_path):
+        # a q2 = 0 header over 4-codeword stage-2 blocks
+        rng = np.random.default_rng(22)
+        stage1 = Codebook(2, 1, rng.normal(size=(4, 2)))
+        stage2 = [Codebook(2, 1, rng.normal(size=(4, 2))) for _ in range(4)]
+        path = tmp_path / "cb.vqms"
+        ms.save_msvq(ms.MsvqCodebook(stage1, stage2, 2, 1, 0), path)
+        with pytest.raises(FormatError, match="stage-2"):
+            ms.load_msvq(path)

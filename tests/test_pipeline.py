@@ -5,6 +5,7 @@ import pytest
 
 import fvq
 from bench import workloads
+from fvq import entropy as ec
 from fvq import frontend, pipeline
 from fvq.bitio import pack_bit_array, pack_fixed, unpack_bit_array, unpack_fixed
 from fvq.errors import (
@@ -104,6 +105,17 @@ class TestRawPassthrough:
         with pytest.raises(MalformedBitstreamError, match="raw-mode scale"):
             pipeline.decompress(frame.to_bytes(), prof)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_refused(self, bad):
+        # no block scaling precedes the raw quantizer to refuse it first
+        prof = CompressionProfile(
+            link="uplink", quantizer=RawSpec(), entropy_coding=False
+        )
+        s = fvq.IQStream(np.array([0.5 + 0.25j, complex(bad, 0.0), -1.0j]))
+        with pytest.raises(ContractViolationError, match="must be finite"):
+            pipeline.compress(s, prof)
+
     def test_quantizer_bypass_limited_by_decimation(self):
         # raw quantizer: chain EVM equals the frontend-only round trip
         spec = fvq.ResamplerSpec(5, 8)
@@ -146,6 +158,24 @@ class TestRoundTrip:
         assert len(out) == len(uplink_corpus)
         assert out.sample_rate == uplink_corpus.sample_rate
         assert fvq.evm_td(uplink_corpus, out) < 40.0
+
+    @pytest.mark.parametrize("use_ec", [True, False], ids=["ec", "fixed"])
+    def test_msvq_without_stage_2_bits_is_stage_1_vq(self, uplink_corpus,
+                                                     use_ec):
+        # q2 = 0: one stage-2 codeword per cell, so its index takes 0 bits
+        chain = dict(
+            link="uplink", decimation=fvq.ResamplerSpec(5, 8),
+            block_scaling=BlockScalingSpec(32, 8), entropy_coding=use_ec,
+        )
+        prof = CompressionProfile(quantizer=MsvqSpec(2, 0, 2), **chain)
+        cb = pipeline.train_for_profile(uplink_corpus, prof, trials=1, seed=7)
+        bits = pipeline.compress(uplink_corpus, prof, cb)
+        assert bits.stats.section_bits[pipeline.SEC_MSVQ_I2] == 0
+        out = pipeline.decompress(bits.to_bytes(), prof, cb)
+        vq_prof = CompressionProfile(quantizer=VqSpec(2, 2), **chain)
+        vq_bits = pipeline.compress(uplink_corpus, vq_prof, cb.stage1)
+        vq_out = pipeline.decompress(vq_bits.to_bytes(), vq_prof, cb.stage1)
+        np.testing.assert_array_equal(out.samples, vq_out.samples)
 
     def test_serialization_round_trip(self, uplink_corpus,
                                       small_uplink_profile, small_vq_codebook):
@@ -465,6 +495,39 @@ class TestHostileIndexCount:
         frame.section(kind).item_count = 2**40
         with pytest.raises(MalformedBitstreamError, match="expected"):
             pipeline.decompress(frame.to_bytes(), prof, cb)
+
+
+class TestHostileG3Table:
+    def test_table_alphabet_other_than_q_low_is_malformed(self,
+                                                          uplink_corpus):
+        quantizer = UpmgqSpec(**{**UPMGQ, "q_low": 2, "g3_entropy": True})
+        prof = CompressionProfile(
+            link="uplink", decimation=fvq.ResamplerSpec(5, 8),
+            block_scaling=BlockScalingSpec(32, 8), quantizer=quantizer,
+        )
+        cb = seeded_codebooks(quantizer, seed=8)
+        frame = pipeline.compress(uplink_corpus, prof, cb)
+        sec = frame.section(pipeline.SEC_G3)
+        table, consumed = ec.parse_table(sec.payload)
+        codes = ec.decode(table, sec.payload[consumed:], sec.item_count)
+        # an 8-symbol table for a 4-point grid, its codes past the grid
+        codes = codes + 4
+        table = ec.build_huffman(ec.estimate_pmf(codes, 8))
+        head = ec.serialize_table(table)
+        payload, nbits = ec.encode(table, codes)
+        sec.payload, sec.bit_length = head + payload, 8 * len(head) + nbits
+        with pytest.raises(MalformedBitstreamError, match="G3 table"):
+            pipeline.decompress(frame.to_bytes(), prof, cb)
+
+
+class TestFixedWidth:
+    def test_width_zero_packs_zeros_into_no_bits(self):
+        assert pack_fixed(np.zeros(5, dtype=np.int64), 0) == (b"", 0)
+        np.testing.assert_array_equal(unpack_fixed(b"", 0, 5), np.zeros(5))
+
+    def test_width_zero_refuses_a_non_zero_value(self):
+        with pytest.raises(ContractViolationError, match="does not fit"):
+            pack_fixed([0, 1], 0)
 
 
 class TestAccounting:

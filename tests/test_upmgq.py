@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fvq
+from fvq import pipeline
 from fvq import upmgq as ug
-from fvq.errors import ContractViolationError
+from fvq.errors import ContractViolationError, FormatError
 from fvq.iqstream import IQStream
 from fvq.vq_core import SearchCounter
+from tests.conftest import seeded_codebooks
 
 
 def _scaled_stream(n=4096, sigma=22.0, seed=0):
@@ -218,3 +220,27 @@ class TestIo:
         np.testing.assert_allclose(
             loaded.low_sq, cb.low_sq.astype(np.float32)
         )
+
+    @pytest.mark.parametrize("case", [
+        "lengths all 0", "lengths all 1", "lengths all 70",
+        "NaN grid point", "grid point off the midpoints",
+    ])
+    def test_hostile_container_refused(self, tmp_path, case):
+        spec = pipeline.UpmgqSpec(theta=-1, q_high=3, l=2, q_low=2)
+        cb, cfg = seeded_codebooks(spec, seed=3), spec.config(15)
+        path = tmp_path / "cb.upmg"
+        ug.save_upmgq(cb, cfg, path)
+        ug.load_upmgq(path)  # the untouched file loads
+        blob = bytearray(path.read_bytes())
+        k = cb.high_vq.size
+        lengths = {"lengths all 0": 0, "lengths all 1": 1,
+                   "lengths all 70": 70}
+        if case in lengths:
+            blob[-k:] = bytes([lengths[case]]) * k
+        else:
+            value = math.nan if case == "NaN grid point" else 0.3
+            at = len(blob) - k - 4 * len(cb.low_sq)
+            blob[at : at + 4] = np.float32(value).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError):
+            ug.load_upmgq(path)
