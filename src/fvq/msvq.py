@@ -204,6 +204,8 @@ def load_msvq(path) -> MsvqCodebook:
         if version != _VQMS_VERSION:
             raise FormatError(f"unsupported VQMS version {version}")
         stage1 = load_codebook(fh)
+        if (stage1.l_vq, stage1.q_vq) != (l, q1):
+            raise FormatError("stage-1 block geometry mismatch")
         stage2 = []
         for k in range(codebook_size(l, q1)):
             sub = load_codebook(fh)

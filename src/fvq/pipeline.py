@@ -127,6 +127,13 @@ class _IndexQuantizer:
     `reconstruct` (vectors from them) and `tables` (one Huffman table per
     stage from the codebook's usage counts, used with entropy coding)."""
 
+    def __post_init__(self):
+        # the CR accounting divides by the summed index width
+        if sum(w for _, w in self.stages) == 0:
+            raise ContractViolationError(
+                f"{self.kind} quantizer has no index bits"
+            )
+
     def _tables(self, cb, use_ec):
         return self.tables(cb) if use_ec else [None] * len(self.stages)
 

@@ -12,18 +12,38 @@ Nearest-codeword search (`_nearest`) has two paths, chosen by codebook size
 K. Below `_TREE_MIN_CODEWORDS` it is brute force: one matrix product per
 chunk ranks every codeword by |c|^2 - 2 v.c and the row argmin wins, so
 exact ties break to the lowest index. From that size on it is an exact k-d
-tree search (Friedman, Bentley & Finkel 1977; `scipy.spatial.cKDTree`, built
-per call) for each vector's two nearest codewords. A vector whose two nearest
-squared distances differ by at most 1e-9 (|v|^2 + max |c|^2), far above the
-rounding of either path, is searched again by brute force. Every index
-therefore equals the brute-force one, ties and duplicate codewords included,
-and the threshold changes speed, never output. Non-finite vectors are
-refused on both paths.
+tree search (Friedman, Bentley & Finkel 1977; `scipy.spatial.cKDTree`,
+memoised on the codewords' content) for each vector's two nearest
+codewords. A vector whose two nearest squared distances differ by at most
+1e-9 (|v|^2 + max |c|^2), far above the rounding of either path, is
+searched again by brute force. Every index therefore equals the brute-force
+one, exact ties and duplicate codewords included, so the threshold changes
+speed, not output. The one exception is a tie within rounding: the matrix
+product can round a one-row batch differently, so such a tie may fall
+either way. Non-finite vectors are refused on both paths.
 
 Where training needs the distance to the chosen codeword (`_assign`), it is
 computed from the index alone, as (-2 v.c_j + |c_j|^2) + |v|^2 clamped at 0,
 whichever path found j; distortions, stop decisions and empty-cell repairs
 therefore do not depend on the path or on the matrix kernel's rounding.
+
+On the k-d tree path a Lloyd descent searches again only the vectors whose
+distance bounds overlap (`_bounded_nearest`; one lower bound per vector as
+in Hamerly 2010, "Making k-means even faster", SDM). Each vector keeps u,
+its exact distance |v - c_a| to its own codeword a, and lo, a lower bound on
+its distance to every other codeword: the second distance of its last tree
+query (the first, where brute force settled a near tie), lowered after each
+update by the largest move of any other codeword (empty-cell repairs
+included), since |v - c_k'| >= |v - c_k| - |c_k' - c_k|. The triangle
+inequality gives a second bound, sep[a] - u, where sep[a] is the distance
+from c_a to its nearest other codeword. With b the larger of the two,
+every other codeword is at least b from v, so a vector with b^2 - u^2
+above twice the near-tie tolerance is nearer to c_a than to any other
+codeword by more than either search path's rounding: the brute-force index
+is a, and the vector keeps it. Both bounds carry a relative margin of
+`_BOUND_SLACK` against their own rounding. Every other vector goes through
+the tree search above, so each index, and with it every trained codebook,
+equals a descent that searches every vector.
 
 Distortion is squared Euclidean distance per vector. The per-iteration
 distortion trace of every descent is non-increasing (up to the small,
@@ -36,6 +56,7 @@ All randomness is routed through numpy Generators keyed on (seed, trial), so
 training is bit-reproducible for a fixed seed.
 """
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -64,6 +85,10 @@ _TREE_MIN_CODEWORDS = 512
 # Relative gap, against |v|^2 + max |c|^2, under which the two nearest
 # codewords count as tied and the brute-force search decides.
 _NEAR_TIE = 1e-9
+
+# Relative margin on the bounds of `_bounded_nearest` against the rounding
+# of the distances and moves they are built from.
+_BOUND_SLACK = 1e-12
 
 # Serial-trial rescale overshoot. Rescaling a converged codebook exactly to
 # the corpus RMS is a no-op (its RMS already matches within a fraction of a
@@ -177,8 +202,7 @@ def nearest_codeword(codebook: Codebook, vector, counter: SearchCounter = None) 
         raise ContractViolationError(
             f"vector length {vector.shape} != l_vq {codebook.l_vq}"
         )
-    if not np.isfinite(vector).all():
-        raise ContractViolationError("vectors must be finite")
+    _check_finite(vector)
     # one vector never repays building a k-d tree
     idx = _brute_nearest(vector[None, :], codebook.codewords)
     if counter is not None:
@@ -200,28 +224,59 @@ def _brute_nearest(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarray:
     return idx
 
 
+@functools.lru_cache(maxsize=8)
+def _cached_tree(key: bytes, l: int) -> cKDTree:
+    # built on a read-only view of the key, so the tree's data cannot change
+    return cKDTree(np.frombuffer(key).reshape(-1, l))
+
+
+def _tree(codewords: np.ndarray) -> cKDTree:
+    """k-d tree over `codewords`, memoised on their content."""
+    cw = np.ascontiguousarray(codewords, dtype=np.float64)
+    return _cached_tree(cw.tobytes(), cw.shape[1])
+
+
+def _check_finite(vectors: np.ndarray) -> None:
+    if not np.isfinite(vectors).all():
+        raise ContractViolationError("vectors must be finite")
+
+
+def _tie_tolerance(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarray:
+    return _NEAR_TIE * (np.einsum("nl,nl->n", vectors, vectors)
+                        + np.einsum("kl,kl->k", codewords, codewords).max())
+
+
 def _nearest(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarray:
     """Nearest-codeword index for every vector, exactly the brute-force
     one (ties low) on both search paths; see the module docstring."""
-    if not np.isfinite(vectors).all():
-        raise ContractViolationError("vectors must be finite")
+    _check_finite(vectors)
     if len(codewords) < _TREE_MIN_CODEWORDS:
         return _brute_nearest(vectors, codewords)
-    d, j = cKDTree(codewords).query(vectors, k=2)
-    d *= d
-    tol = _NEAR_TIE * (np.einsum("nl,nl->n", vectors, vectors)
-                       + np.einsum("kl,kl->k", codewords, codewords).max())
+    return _tree_nearest(vectors, codewords, _tree(codewords))[0]
+
+
+def _tree_nearest(vectors, codewords, tree):
+    """The k-d tree path of `_nearest`, plus for every vector a lower bound
+    on its distance to each codeword other than the one it gets."""
+    d, j = tree.query(vectors, k=2)
+    sq = d * d
     idx = np.ascontiguousarray(j[:, 0])
-    near = np.flatnonzero(d[:, 1] - d[:, 0] <= tol)
+    lo = np.ascontiguousarray(d[:, 1])
+    tol = _tie_tolerance(vectors, codewords)
+    near = np.flatnonzero(sq[:, 1] - sq[:, 0] <= tol)
     if near.size:
         idx[near] = _brute_nearest(vectors[near], codewords)
-    return idx
+        # brute force may pick the tree's second word, so bound by the first
+        lo[near] = d[near, 0]
+    return idx, lo
 
 
-def _assign(vectors: np.ndarray, codewords: np.ndarray):
-    """Nearest-codeword index and squared distance for every vector; the
-    distance comes from the index alone (module docstring)."""
-    idx = _nearest(vectors, codewords)
+def _assign(vectors: np.ndarray, codewords: np.ndarray, idx=None):
+    """Nearest-codeword index (searched unless given) and squared distance
+    for every vector; the distance comes from the index alone (module
+    docstring)."""
+    if idx is None:
+        idx = _nearest(vectors, codewords)
     cw_sq = np.einsum("kl,kl->k", codewords, codewords)
     # np.take: row gathers by fancy indexing are an order of magnitude slower
     dist = np.einsum("nl,nl->n", vectors, np.take(codewords, idx, axis=0))
@@ -280,22 +335,67 @@ def lloyd_iterate(vectors, codebook: Codebook):
     return out, d
 
 
+def _bounded_nearest(vectors, old, new, idx, lo):
+    """`_nearest(vectors, new)` after the codewords moved from `old` to
+    `new`, given each vector's index `idx` and lower bound `lo` for `old`.
+    Only rows whose bounds overlap are searched again; `idx` and `lo` are
+    updated in place (module docstring)."""
+    step = new - old
+    move = np.sqrt(np.einsum("kl,kl->k", step, step))
+    top = int(np.argmax(move))
+    second = np.delete(move, top).max(initial=0.0)
+    # largest move of any codeword other than the row's own
+    lo -= np.where(idx == top, second, move[top])
+    np.maximum(lo, 0.0, out=lo)
+    diff = vectors - np.take(new, idx, axis=0)
+    u = np.sqrt(np.einsum("nl,nl->n", diff, diff))
+    u *= 1.0 + _BOUND_SLACK
+    gap = 2.0 * _tie_tolerance(vectors, new)
+    b = lo * (1.0 - _BOUND_SLACK)
+    rows = np.flatnonzero((b - u) * (b + u) <= gap)
+    if rows.size == 0:
+        return idx, lo
+    tree = _tree(new)
+    # every other codeword is at least sep[a] - u from a vector of cell a
+    owners = np.flatnonzero(np.bincount(idx[rows], minlength=len(new)))
+    sep = np.zeros(len(new))
+    sep[owners] = tree.query(new[owners], k=2)[0][:, 1]
+    u = u[rows]
+    b = np.maximum(b[rows], (sep[idx[rows]] - u) * (1.0 - _BOUND_SLACK))
+    rows = rows[(b - u) * (b + u) <= gap[rows]]
+    if rows.size:
+        idx[rows], lo[rows] = _tree_nearest(vectors[rows], new, tree)
+    return idx, lo
+
+
 def _descent(vectors, init_codewords, stop: LloydStop, corpus_rms):
     """Full Lloyd descent from a given initialization.
 
     Returns (codewords, final distortion, trace, usage, repairs). The trace
     holds the assignment distortion of every visited codebook including the
-    initial one.
+    initial one. On the k-d tree path each assignment after the first is
+    `_bounded_nearest`'s.
     """
     cw = np.array(init_codewords, dtype=np.float64)
-    idx, dist = _assign(vectors, cw)
+    lo = None
+    if len(cw) >= _TREE_MIN_CODEWORDS:
+        _check_finite(vectors)
+        idx, lo = _tree_nearest(vectors, cw, _tree(cw))
+    else:
+        idx = _nearest(vectors, cw)
+    idx, dist = _assign(vectors, cw, idx)
     d = float(dist.mean())
     trace = [d]
     repairs = 0
     for _ in range(stop.max_iterations):
-        cw, rep = _recenter(vectors, idx, dist, cw, corpus_rms)
+        new, rep = _recenter(vectors, idx, dist, cw, corpus_rms)
         repairs += rep
-        idx, dist = _assign(vectors, cw)
+        if lo is None:
+            idx = _nearest(vectors, new)
+        else:
+            idx, lo = _bounded_nearest(vectors, cw, new, idx, lo)
+        cw = new
+        idx, dist = _assign(vectors, cw, idx)
         d_new = float(dist.mean())
         trace.append(d_new)
         if d <= 0 or (d - d_new) / d < stop.rel_improvement_eps:

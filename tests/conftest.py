@@ -1,37 +1,8 @@
-import hashlib
-import pickle
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 import fvq
 from fvq import entropy, pipeline
-
-CACHE_DIR = Path(__file__).parent / ".cache"
-
-
-def cache_key(*parts) -> str:
-    blob = repr(parts).encode()
-    return hashlib.blake2b(blob, digest_size=12).hexdigest()
-
-
-def cached(name, builder):
-    """Disk-cache expensive artifacts (trained codebooks) across test runs.
-
-    The key must encode every input that affects the artifact; bump the salt
-    when training code changes behavior.
-    """
-    CACHE_DIR.mkdir(exist_ok=True)
-    path = CACHE_DIR / f"{name}.pkl"
-    if path.exists():
-        with open(path, "rb") as fh:
-            return pickle.load(fh)
-    artifact = builder()
-    with open(path, "wb") as fh:
-        pickle.dump(artifact, fh)
-    return artifact
-
 
 def make_corpus(num_symbols, snr_db=5.0, seed=0, link="uplink_scfdm",
                 modulation="qam64"):
@@ -107,9 +78,6 @@ def small_uplink_profile():
 
 @pytest.fixture(scope="session")
 def small_vq_codebook(uplink_corpus, small_uplink_profile):
-    def build():
-        return pipeline.train_for_profile(
-            uplink_corpus, small_uplink_profile, trials=2, seed=3
-        )
-
-    return cached(f"small_vq_{cache_key('l2q4', 24, 11, 3)}", build)
+    return pipeline.train_for_profile(
+        uplink_corpus, small_uplink_profile, trials=2, seed=3
+    )

@@ -1,10 +1,9 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL
 line (run with -s to see them).
 
-Trained artifacts cache under tests/.cache keyed by their full parameter
-set, so re-runs are fast; delete the directory to retrain from scratch.
-Corpus sizes are desk scale: large enough for the stated tolerances, small
-enough to keep each criterion within its stated runtime.
+Every run trains its codebooks from scratch, so each criterion checks the
+current code. Corpus sizes are desk scale: large enough for the stated
+tolerances, small enough to keep each criterion within its stated runtime.
 """
 
 import math
@@ -28,12 +27,9 @@ from fvq.pipeline import (
 )
 from fvq.upmgq import UpmgqConfig, upmgq_complexity
 from fvq.vectorizer import VectorLayout, devectorize, vectorize
-from tests.conftest import cached, make_corpus
+from tests.conftest import make_corpus
 
 pytestmark = pytest.mark.acceptance
-
-# bump when training semantics change to invalidate cached artifacts
-SALT = "v3"
 
 BAND = fvq.waveform.subcarrier_indices(1024, 600)
 
@@ -105,11 +101,8 @@ def test_criterion_2_accounting(label, profile):
     corpus = make_corpus(16, seed=211, link=link)
     codebook = None
     if profile.quantizer.kind != "raw":
-        codebook = cached(
-            f"acc2_{label.replace(' ', '_').replace('+', '-')}_{SALT}",
-            lambda: pipeline.train_for_profile(corpus, profile, trials=1,
-                                               seed=2),
-        )
+        codebook = pipeline.train_for_profile(corpus, profile, trials=1,
+                                              seed=2)
     bits = pipeline.compress(corpus, profile, codebook)
     formula = compression_ratio(profile, bits.stats)
     measured = bits.stats.cr_measured
@@ -261,18 +254,14 @@ def _c5_data():
 def test_criterion_5_modified_vs_classical():
     profile, vectors, evaluation = _c5_data()
 
-    def run_all():
-        rows = []
-        for seed in range(20):
-            cb_c = vq_core.train_classical(vectors, 6, C5_TRIALS, None, seed)
-            cb_m = vq_core.train_modified(vectors, 6, C5_TRIALS, None, seed)
-            rows.append((
-                _chain_evm_fd(evaluation, profile, cb_c),
-                _chain_evm_fd(evaluation, profile, cb_m),
-            ))
-        return rows
-
-    rows = cached(f"acc5_rows_{C5_TRIALS}_{SALT}", run_all)
+    rows = []
+    for seed in range(20):
+        cb_c = vq_core.train_classical(vectors, 6, C5_TRIALS, None, seed)
+        cb_m = vq_core.train_modified(vectors, 6, C5_TRIALS, None, seed)
+        rows.append((
+            _chain_evm_fd(evaluation, profile, cb_c),
+            _chain_evm_fd(evaluation, profile, cb_m),
+        ))
     wins = sum(1 for c, m in rows if m < c)
     classical = np.array([c for c, _ in rows])
     modified = np.array([m for _, m in rows])
@@ -315,10 +304,7 @@ def _c6_run(link):
         wf_link = "uplink_scfdm"
     train = make_corpus(C6_TRAIN_SYMBOLS, seed=401, link=wf_link)
     evaluation = make_corpus(C6_EVAL_SYMBOLS, seed=5401, link=wf_link)
-    cb = cached(
-        f"acc6_{link}_{C6_TRAIN_SYMBOLS}_{SALT}",
-        lambda: pipeline.train_for_profile(train, profile, trials=2, seed=7),
-    )
+    cb = pipeline.train_for_profile(train, profile, trials=2, seed=7)
     return pipeline.evaluate_chain(evaluation, profile, cb)
 
 
@@ -354,12 +340,7 @@ def test_criterion_7_reduced_complexity_proximity():
     }
     evms = {}
     for name, profile in profiles.items():
-        cb = cached(
-            f"acc7_{name}_{SALT}",
-            lambda profile=profile: pipeline.train_for_profile(
-                train, profile, trials=3, seed=7
-            ),
-        )
+        cb = pipeline.train_for_profile(train, profile, trials=3, seed=7)
         evms[name] = _chain_evm_fd(evaluation, profiles[name], cb)
     d_msvq = abs(evms["msvq"] - evms["vq"])
     d_upmgq = abs(evms["upmgq"] - evms["vq"])

@@ -192,6 +192,34 @@ class TestTrainCompressDecompress:
                   "--out", tmp_path / "c.cpz")
         assert rc == 4
 
+    def test_vq_without_index_bits_exit_code_4(self, profile_path, tmp_path):
+        corpus, cb = tmp_path / "c.iqf", tmp_path / "cb.vqcb"
+        fvq.save_codebook(fvq.Codebook(2, 0, np.zeros((1, 2))), cb)
+        assert _run("gen", "--profile", profile_path, "--out", corpus) == 0
+        rc = _run("compress", "--profile", profile_path, "--codebook", cb,
+                  "--set", "quantizer.q_vq=0", "--set", "block_scaling=null",
+                  "--in", corpus,
+                  "--out", tmp_path / "c.cpz")
+        assert rc == 4
+
+    def test_msvq_stage_1_geometry_exit_code_3(self, profile_path, tmp_path):
+        config = json.loads(profile_path.read_text())
+        config["quantizer"] = {"kind": "msvq", "q1": 1, "q2": 1, "l": 2}
+        profile_path.write_text(json.dumps(config))
+        rng = np.random.default_rng(5)
+        cb, corpus = tmp_path / "cb.vqms", tmp_path / "c.iqf"
+        # the header says q1 = 1; the stage-1 block holds 16 codewords
+        with open(cb, "wb") as fh:
+            fh.write(fvq.msvq.VQMS_MAGIC + bytes([1, 1, 1, 2]))
+            fvq.save_codebook(fvq.Codebook(2, 2, rng.normal(size=(16, 2))), fh)
+            for _ in range(4):
+                fvq.save_codebook(fvq.Codebook(2, 1, rng.normal(size=(4, 2))),
+                                  fh)
+        assert _run("gen", "--profile", profile_path, "--out", corpus) == 0
+        rc = _run("compress", "--profile", profile_path, "--codebook", cb,
+                  "--in", corpus, "--out", tmp_path / "c.cpz")
+        assert rc == 3
+
     def test_unknown_trainer_exit_code_4(self, profile_path, tmp_path):
         corpus = tmp_path / "c.iqf"
         assert _run("gen", "--profile", profile_path, "--out", corpus) == 0

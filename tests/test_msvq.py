@@ -5,7 +5,13 @@ import pytest
 
 from fvq import msvq as ms
 from fvq.errors import ContractViolationError, FormatError
-from fvq.vq_core import Codebook, SearchCounter, quantize_batch, train_classical
+from fvq.vq_core import (
+    Codebook,
+    SearchCounter,
+    quantize_batch,
+    save_codebook,
+    train_classical,
+)
 
 
 def _corpus(n, seed=0):
@@ -128,4 +134,16 @@ class TestIo:
         path = tmp_path / "cb.vqms"
         ms.save_msvq(ms.MsvqCodebook(stage1, stage2, 2, 1, 0), path)
         with pytest.raises(FormatError, match="stage-2"):
+            ms.load_msvq(path)
+
+    def test_stage_1_block_must_match_header(self, tmp_path):
+        # a q1 = 1 header over a 16-codeword (q = 2) stage-1 block
+        rng = np.random.default_rng(23)
+        path = tmp_path / "cb.vqms"
+        with open(path, "wb") as fh:
+            fh.write(ms.VQMS_MAGIC + bytes([1, 1, 1, 2]))
+            save_codebook(Codebook(2, 2, rng.normal(size=(16, 2))), fh)
+            for _ in range(4):
+                save_codebook(Codebook(2, 1, rng.normal(size=(4, 2))), fh)
+        with pytest.raises(FormatError, match="stage-1"):
             ms.load_msvq(path)

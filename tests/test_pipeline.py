@@ -54,6 +54,15 @@ class TestProfile:
         with pytest.raises(ContractViolationError):
             CompressionProfile.from_dict({"nonsense": 1})
 
+    @pytest.mark.parametrize("quantizer", [
+        {"kind": "vq", "l_vq": 2, "q_vq": 0},
+        {"kind": "msvq", "q1": 0, "q2": 0, "l": 2},
+    ])
+    def test_index_quantizer_without_index_bits_refused(self, quantizer):
+        # the CR accounting divides by the summed index width
+        with pytest.raises(ContractViolationError, match="no index bits"):
+            CompressionProfile.from_dict({"quantizer": quantizer})
+
     def test_fractional_decimated_symbol_refused(self):
         # CP-removed symbols are resampled one by one: 1020 * 5/8 = 637.5
         with pytest.raises(ContractViolationError):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fvq import entropy, frontend, pipeline, upmgq, vq_core
 from fvq.errors import ContractViolationError, FormatError
@@ -178,6 +178,126 @@ class TestSearchPaths:
         finally:
             tracemalloc.stop()
         assert peak < 256 * len(vectors)
+
+    def test_tree_memoised_on_content(self):
+        cw = np.random.default_rng(48).uniform(-8, 8, (512, 2))
+        tree = vq_core._tree(cw)
+        assert vq_core._tree(cw.copy()) is tree
+        cw[0, 0] += 1.0
+        assert vq_core._tree(cw) is not tree
+        # the cached tree keeps the content it was built from
+        assert tree.data[0, 0] == cw[0, 0] - 1.0
+
+
+def _reference_descent(vectors, init_codewords, stop, corpus_rms):
+    """Plain Lloyd descent: every vector is searched again each iteration."""
+    cw = np.array(init_codewords, dtype=np.float64)
+    idx, dist = vq_core._assign(vectors, cw)
+    d = float(dist.mean())
+    trace = [d]
+    repairs = 0
+    for _ in range(stop.max_iterations):
+        cw, rep = vq_core._recenter(vectors, idx, dist, cw, corpus_rms)
+        repairs += rep
+        idx, dist = vq_core._assign(vectors, cw)
+        d_new = float(dist.mean())
+        trace.append(d_new)
+        if d <= 0 or (d - d_new) / d < stop.rel_improvement_eps:
+            d = d_new
+            break
+        d = d_new
+    usage = np.bincount(idx, minlength=len(cw)).astype(np.uint64)
+    return cw, d, trace, usage, repairs
+
+
+def _descent_case(l, k, n, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        # integer grid: equidistant codewords give exact ties
+        vectors = rng.integers(-3, 4, (n, l)).astype(np.float64)
+    elif kind == "duplicates":
+        base = rng.standard_normal((max(2, n // 8), l)) * 5.0
+        vectors = base[rng.integers(0, len(base), n)]
+    else:
+        vectors = rng.standard_normal((n, l)) * [5.0, 1.0, 0.5, 2.0][:l]
+    init = vectors[rng.choice(n, k, replace=False)].copy()
+    if kind == "repairs":
+        # far codewords own no vector, so their cells are repaired
+        init[rng.integers(0, k, max(1, k // 4))] = 1e3
+    return vectors, init
+
+
+class TestBoundedDescent:
+    """The bounded descent visits exactly the reference's codebooks."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        l=st.integers(1, 4),
+        k=st.sampled_from([1, 2, 3, 8, 16, 64]),
+        extra=st.integers(0, 400),
+        kind=st.sampled_from(["gaussian", "integer", "duplicates", "repairs"]),
+        iters=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # repaired codewords either side of a lone member: a rounding-level tie
+    @example(l=2, k=64, extra=217, kind="repairs", iters=3, seed=13599717)
+    def test_equals_reference_descent(self, l, k, extra, kind, iters, seed):
+        vectors, init = _descent_case(l, k, k + extra, kind, seed)
+        stop = LloydStop(iters, 1e-9)
+        rms = float(np.sqrt(np.mean(vectors**2)))
+        # the same search path without bounds: brute force over all rows can
+        # break a rounding-level tie differently from the one-row matrix
+        # product that settles a lone near tie on the tree path
+        with _forced("tree"):
+            want = _reference_descent(vectors, init, stop, rms)
+            got = vq_core._descent(vectors, init, stop, rms)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:3] == want[1:3]
+        assert got[3].tobytes() == want[3].tobytes()
+        assert got[4] == want[4]
+
+    def test_forced_repairs_covered(self):
+        vectors, init = _descent_case(2, 64, 600, "repairs", 3)
+        rms = float(np.sqrt(np.mean(vectors**2)))
+        with _forced("tree"):
+            assert vq_core._descent(vectors, init, LloydStop(20), rms)[4] > 0
+
+    def test_skips_most_searches(self):
+        rng = np.random.default_rng(49)
+        vectors = rng.standard_normal((20_000, 2)) * 8
+        init = vectors[rng.choice(len(vectors), 512, replace=False)]
+        searched = []
+        tree_nearest = vq_core._tree_nearest
+
+        def counted(v, c, tree):
+            searched.append(len(v))
+            return tree_nearest(v, c, tree)
+
+        with mock.patch.object(vq_core, "_tree_nearest", counted):
+            trace = vq_core._descent(vectors, init, LloydStop(30, 1e-9),
+                                     8.0)[2]
+        assert searched[0] == len(vectors)
+        assert len(trace) > 20
+        assert sum(searched[1:]) < 0.5 * (len(trace) - 1) * len(vectors)
+
+    @pytest.mark.parametrize("trials", [1, 2])
+    @pytest.mark.parametrize("train", [train_modified, train_classical])
+    def test_trainers_equal_reference(self, train, trials):
+        rng = np.random.default_rng(50)
+        vectors = np.round(rng.standard_normal((3000, 2)) * 4) / 2
+        stop = LloydStop(30)
+        with mock.patch.object(vq_core, "_descent", _reference_descent):
+            want = pickle.dumps(train(vectors, 5, trials, stop, seed=8))
+        assert pickle.dumps(train(vectors, 5, trials, stop, seed=8)) == want
+
+    def test_lower_bound_holds_with_ties(self):
+        vectors, codewords = _search_case(2, 600, 3000, "integer", 20, 51)
+        idx, lo = vq_core._tree_nearest(
+            vectors, codewords, vq_core._tree(codewords)
+        )
+        d = np.sqrt(((vectors[:, None, :] - codewords[None]) ** 2).sum(-1))
+        d[np.arange(len(vectors)), idx] = np.inf
+        assert (lo <= d.min(axis=1) * (1 + 1e-12)).all()
 
 
 @pytest.mark.parametrize("q_vq", [2, 5])  # 16 words: brute force; 1024: k-d tree
