@@ -23,6 +23,7 @@ from .vq_core import (
     LloydStop,
     SearchCounter,
     _as_vectors,
+    _frozen_nearest,
     _nearest,
     check_trainer,
     codebook_size,
@@ -146,14 +147,17 @@ def train_msvq(
 def quantize_msvq(
     cb: MsvqCodebook, vectors, counter: SearchCounter = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(stage-1 indices, stage-2 indices) for a batch of vectors."""
+    """(stage-1 indices, stage-2 indices) for a batch of vectors. Stage 1
+    is one codebook searched whole (`_frozen_nearest`). A stage-2 codebook
+    sees only its cell's vectors, and with up to 2^(l*q1) of them one
+    memoised grid each would not stay cached, so they keep `_nearest`."""
     vecs = _as_vectors(vectors)
     if vecs.size == 0:
         z = np.zeros(0, dtype=np.int64)
         return z, z
     if vecs.shape[1] != cb.l:
         raise ContractViolationError("vector length != MSVQ vector length")
-    i1 = _nearest(vecs, cb.stage1.codewords)
+    i1 = _frozen_nearest(vecs, cb.stage1.codewords)
     i2 = np.empty(len(vecs), dtype=np.int64)
     evals = cb.stage1.size * len(vecs)
     for k in np.unique(i1):
@@ -175,14 +179,13 @@ def dequantize_msvq(cb: MsvqCodebook, i1, i2) -> np.ndarray:
         return np.zeros((0, cb.l))
     if i1.min() < 0 or i1.max() >= cb.stage1.size:
         raise ContractViolationError("stage-1 index out of range")
-    out = np.empty((len(i1), cb.l))
-    for k in np.unique(i1):
-        sel = i1 == k
-        jj = i2[sel]
-        if jj.min() < 0 or jj.max() >= cb.stage2[k].size:
-            raise ContractViolationError("stage-2 index out of range")
-        out[sel] = cb.stage2[k].codewords[jj]
-    return out
+    # every stage-2 codebook has 2^(l*q2) codewords
+    stacked = np.stack([sub.codewords for sub in cb.stage2])
+    size2 = stacked.shape[1]
+    if i2.min() < 0 or i2.max() >= size2:
+        raise ContractViolationError("stage-2 index out of range")
+    # np.take: row gathers by fancy indexing are several times slower
+    return np.take(stacked.reshape(-1, cb.l), i1 * size2 + i2, axis=0)
 
 
 def save_msvq(cb: MsvqCodebook, path) -> None:

@@ -33,6 +33,7 @@ from .vq_core import (
     Codebook,
     LloydStop,
     SearchCounter,
+    _frozen_nearest,
     _nearest,
     check_trainer,
     codebook_size,
@@ -196,7 +197,7 @@ def quantize_upmgq(
     comps = np.concatenate([stream.samples.real, stream.samples.imag])
     neg, high, low = _expand_components(comps, cfg.theta)
     batch = _high_batch(stream, cfg.theta, cfg.l_upmgq)
-    g2 = _nearest(batch.vectors, cb.high_vq.codewords)
+    g2 = _frozen_nearest(batch.vectors, cb.high_vq.codewords)
     # G3 is a genuine nearest-point search over the reconstruction grid so
     # the instrumented search count reflects real distance evaluations.
     g3 = np.argmin(np.abs(low[:, None] - cb.low_sq[None, :]), axis=1)

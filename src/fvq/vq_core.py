@@ -22,6 +22,28 @@ speed, not output. The one exception is a tie within rounding: the matrix
 product can round a one-row batch differently, so such a tie may fall
 either way. Non-finite vectors are refused on both paths.
 
+A codebook that compress searches whole, one fixed codebook per frame
+(`quantize_batch`, the UPMGQ G2 search and MSVQ stage 1), is searched by
+`_frozen_nearest`. For 512 <= K <= 65536 and l <= 3 it buckets the
+codewords (Bentley, Weide & Yao 1980, "Optimal expected-time algorithms for
+closest point problems", ACM TOMS): a grid of about 4 cells per codeword
+over their bounding box, memoised on their content like the tree. Each cell
+lists, ascending as uint16, every codeword within r = d0 + diag + sqrt(tol)
+of its centre x0, where d0 is the distance from x0 to its nearest codeword,
+diag the cell diagonal and tol the largest tie tolerance over the box. A
+vector v in the cell lies within diag/2 of x0, so its nearest codeword is
+within d0 + diag/2 of v, any codeword within v's tie tolerance of that one
+is within d0 + diag/2 + sqrt(tol) of v, and both are within r of x0: the
+list holds the nearest codeword and all its near ties. The candidates are
+ranked by |c|^2 - 2 v.c, padding slots at +inf. Where exactly one of them
+lies within the tie tolerance of the best, the best is the nearest codeword
+by more than the rounding of any path, so it is the brute-force index.
+Every other vector (a near tie, a vector outside the box, or one in a cell
+that would list more than `_GRID_SLOTS` codewords) takes the tree search
+above, so every index equals the tree path's. Training keeps `_nearest`,
+as its codewords change every iteration, and so do MSVQ's stage-2
+codebooks, which are too many to keep a grid each.
+
 Where training needs the distance to the chosen codeword (`_assign`), it is
 computed from the index alone, as (-2 v.c_j + |c_j|^2) + |v|^2 clamped at 0,
 whichever path found j; distortions, stop decisions and empty-cell repairs
@@ -57,6 +79,7 @@ training is bit-reproducible for a fixed seed.
 """
 
 import functools
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -82,6 +105,22 @@ _CHUNK_BUDGET = 8_000_000
 # K = 4096, l = 2, n = 10,080: brute 194 ms, tree 11.9 ms.
 _TREE_MIN_CODEWORDS = 512
 
+# Codebooks that `_frozen_nearest` searches through a candidate grid: from
+# the tree threshold up to the largest size whose indices fit uint16, in at
+# most 3 dimensions (in more, the ball a cell lists holds too many).
+_GRID_MIN_CODEWORDS = 512
+_GRID_MAX_CODEWORDS = 1 << 16
+_GRID_MAX_DIM = 3
+_GRID_CELLS_PER_CODEWORD = 4
+# Candidates one grid cell may list. A cell with more (where codewords are
+# sparse or duplicated) lists none and its vectors take the tree path, so a
+# grid's list never takes more than 64 bytes per cell, whatever the codebook.
+_GRID_SLOTS = 32
+# Cells per k-d tree query while a grid is built, and candidate slots per
+# chunk of a grid search: the transient arrays stay a few MiB.
+_GRID_BUILD_CELLS = 4096
+_GRID_SEARCH_SLOTS = 1 << 16
+
 # Relative gap, against |v|^2 + max |c|^2, under which the two nearest
 # codewords count as tied and the brute-force search decides.
 _NEAR_TIE = 1e-9
@@ -105,8 +144,11 @@ class SearchCounter:
 
     `distance_evals` adds K per vector searched in a K-codeword codebook:
     the evaluations a brute-force search makes, which the paper's
-    complexity formulas count. The k-d tree path makes fewer, so this is
-    the model's count, not the work actually done."""
+    complexity formulas count. It stays that count on every search path,
+    although the k-d tree computes far fewer distances and the grid fewer
+    still (the codewords a vector's cell lists: about 6 on average in a
+    4096-word l = 2 codebook). It is the model's count, not the work
+    actually done."""
 
     distance_evals: int = 0
     items: int = 0
@@ -269,6 +311,132 @@ def _tree_nearest(vectors, codewords, tree):
         # brute force may pick the tree's second word, so bound by the first
         lo[near] = d[near, 0]
     return idx, lo
+
+
+@dataclass(eq=False)
+class _Grid:
+    """Candidate codewords per cell of a grid over the codewords' bounding
+    box [lo, hi] (module docstring)."""
+
+    lo: np.ndarray  # (l,)
+    hi: np.ndarray  # (l,)
+    shape: tuple  # cells per axis; 1 on an axis where lo == hi
+    scale: np.ndarray  # (l,) cells per unit length, 0 on a flat axis
+    counts: np.ndarray  # (cells,) uint8 candidates listed; 0 if too many
+    table: np.ndarray  # (slots, cells) uint16 candidates, ascending
+
+    def locate(self, vectors):
+        """(cell of every vector, whether it lies outside the box)."""
+        u = vectors - self.lo
+        u *= self.scale
+        np.clip(u, 0, np.subtract(self.shape, 1), out=u)
+        cell = np.ravel_multi_index(tuple(u.astype(np.intp).T), self.shape)
+        outside = ((vectors < self.lo) | (vectors > self.hi)).any(axis=1)
+        return cell, outside
+
+
+# a few grids at most: one up to 65,536 codewords can hold 16 MiB
+@functools.lru_cache(maxsize=4)
+def _cached_grid(key: bytes, l: int):
+    return _build_grid(np.frombuffer(key).reshape(-1, l), _cached_tree(key, l))
+
+
+def _grid(codewords: np.ndarray):
+    """Candidate grid over `codewords`, memoised on their content; None when
+    every cell lists too many candidates."""
+    cw = np.ascontiguousarray(codewords, dtype=np.float64)
+    return _cached_grid(cw.tobytes(), cw.shape[1])
+
+
+def _build_grid(codewords, tree):
+    k, l = codewords.shape
+    lo, hi = codewords.min(axis=0), codewords.max(axis=0)
+    extent = hi - lo
+    target = _GRID_CELLS_PER_CODEWORD * k
+    g = math.ceil(target ** (1 / l))
+    while g > 1 and (g - 1) ** l >= target:
+        g -= 1
+    shape = tuple(int(s) for s in np.where(extent > 0, g, 1))
+    width = extent / shape
+    corner_sq = np.maximum(lo * lo, hi * hi).sum()
+    # every point of a cell is within half a diagonal of its centre, and
+    # every point of the box has a tie tolerance of at most `tol`
+    cw_sq = np.einsum("kl,kl->k", codewords, codewords)
+    tol = _NEAR_TIE * (corner_sq + cw_sq.max())
+    reach = math.sqrt(width @ width) + math.sqrt(tol)
+    margin = _BOUND_SLACK * math.sqrt(corner_sq)
+    n_cells = math.prod(shape)
+    counts = np.empty(n_cells, dtype=np.uint8)
+    table = np.empty((_GRID_SLOTS, n_cells), dtype=np.uint16)
+    for a in range(0, n_cells, _GRID_BUILD_CELLS):
+        cells = np.arange(a, min(a + _GRID_BUILD_CELLS, n_cells))
+        centres = np.stack(np.unravel_index(cells, shape), axis=1) + 0.5
+        centres *= width
+        centres += lo
+        # the _GRID_SLOTS + 1 nearest hold every codeword within r, or show
+        # that there are too many to list
+        d, j = tree.query(centres, k=_GRID_SLOTS + 1)
+        r = (d[:, 0] + reach) * (1.0 + _BOUND_SLACK) + margin
+        listed = d <= r[:, None]
+        n = listed.sum(axis=1)
+        counts[cells] = np.where(n <= _GRID_SLOTS, n, 0)
+        j[~listed] = k
+        j.sort(axis=1)
+        j[j == k] = 0  # padding: masked out by the count when searched
+        table[:, cells] = j[:, :_GRID_SLOTS].T
+    if not counts.any():
+        return None
+    slots = int(counts.max())
+    scale = np.divide(shape, extent, out=np.zeros(l), where=extent > 0)
+    return _Grid(lo, hi, shape, scale, counts, table[:slots].copy())
+
+
+def _frozen_nearest(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarray:
+    """`_nearest` for a codebook that stays fixed across many searches (the
+    frame searches of compress): through its memoised candidate grid where
+    one applies, the same indices either way (module docstring)."""
+    k, l = codewords.shape
+    grid = None
+    if _GRID_MIN_CODEWORDS <= k <= _GRID_MAX_CODEWORDS and l <= _GRID_MAX_DIM:
+        grid = _grid(codewords)
+    if grid is None:
+        return _nearest(vectors, codewords)
+    _check_finite(vectors)
+    n = len(vectors)
+    idx = np.empty(n, dtype=np.int64)
+    settle = np.empty(n, dtype=bool)
+    tol = _tie_tolerance(vectors, codewords)
+    cw_sq = np.einsum("kl,kl->k", codewords, codewords)
+    axes = np.ascontiguousarray(codewords.T)
+    slots = len(grid.table)
+    pad = np.arange(slots)[:, None]
+    # slot-major (slots, rows) arrays keep numpy's inner loops long
+    chunk = max(1, _GRID_SEARCH_SLOTS // slots)
+    for a in range(0, n, chunk):
+        b = min(a + chunk, n)
+        cell, outside = grid.locate(vectors[a:b])
+        # np.take is several times slower with uint16 indices than with intp
+        cand = np.take(grid.table, cell, axis=1).astype(np.intp)
+        # |c|^2 - 2 v.c over the cell's candidates; padding can neither win
+        # nor tie
+        f = np.take(cw_sq, cand)
+        for ax, v in enumerate(vectors[a:b].T * -2.0):
+            term = np.take(axes[ax], cand)
+            term *= v
+            f += term
+        listed = np.take(grid.counts, cell)
+        np.putmask(f, pad >= listed, np.inf)
+        best = np.argmin(f, axis=0)[None]
+        near = np.take_along_axis(f, best, axis=0)[0] + tol[a:b]
+        idx[a:b] = np.take_along_axis(cand, best, axis=0)[0]
+        # the tree settles a vector outside the box, in a cell that lists
+        # none, or with more than one candidate within the tolerance
+        ties = np.count_nonzero(f <= near, axis=0) != 1
+        settle[a:b] = outside | (listed == 0) | ties
+    rows = np.flatnonzero(settle)
+    if rows.size:
+        idx[rows] = _tree_nearest(vectors[rows], codewords, _tree(codewords))[0]
+    return idx
 
 
 def _assign(vectors: np.ndarray, codewords: np.ndarray, idx=None):
@@ -494,7 +662,7 @@ def quantize_batch(
         return np.zeros(0, dtype=np.int64)
     if vecs.shape[1] != codebook.l_vq:
         raise ContractViolationError("vector length != codebook l_vq")
-    idx = _nearest(vecs, codebook.codewords)
+    idx = _frozen_nearest(vecs, codebook.codewords)
     if counter is not None:
         counter.add(codebook.size * len(vecs), len(vecs))
     return idx

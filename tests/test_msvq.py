@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fvq import msvq as ms
+from fvq.pipeline import MsvqSpec
 from fvq.errors import ContractViolationError, FormatError
 from fvq.vq_core import (
     Codebook,
@@ -12,6 +13,7 @@ from fvq.vq_core import (
     save_codebook,
     train_classical,
 )
+from tests.conftest import seeded_codebooks
 
 
 def _corpus(n, seed=0):
@@ -109,6 +111,39 @@ class TestQuantize:
             ms.dequantize_msvq(cb, [16], [0])
         with pytest.raises(ContractViolationError):
             ms.dequantize_msvq(cb, [0], [99])
+
+
+def _per_cell_dequantize(cb, i1, i2):
+    """Reference: each stage-1 cell's stage-2 codebook indexed on its own."""
+    out = np.empty((len(i1), cb.l))
+    for k in np.unique(i1):
+        sel = i1 == k
+        out[sel] = cb.stage2[k].codewords[i2[sel]]
+    return out
+
+
+class TestDequantize:
+    @pytest.mark.parametrize("spec", [MsvqSpec(3, 3, 2), MsvqSpec(1, 2, 3),
+                                      MsvqSpec(2, 0, 2)])
+    def test_gather_equals_per_cell_loop(self, spec):
+        cb = seeded_codebooks(spec, seed=24)
+        rng = np.random.default_rng(25)
+        i1 = rng.integers(0, cb.stage1.size, 5000)
+        i2 = rng.integers(0, cb.stage2[0].size, 5000)
+        got = ms.dequantize_msvq(cb, i1, i2)
+        assert got.dtype == np.float64 and got.shape == (5000, spec.l)
+        assert got.tobytes() == _per_cell_dequantize(cb, i1, i2).tobytes()
+
+    @pytest.mark.parametrize("i1, i2, stage", [
+        ([0, 64], [0, 0], "stage-1"),
+        ([-1, 0], [0, 0], "stage-1"),
+        ([0, 63], [0, 64], "stage-2"),
+        ([5, 7], [-1, 3], "stage-2"),
+    ])
+    def test_out_of_range_refused(self, i1, i2, stage):
+        cb = seeded_codebooks(MsvqSpec(3, 3, 2), seed=26)
+        with pytest.raises(ContractViolationError, match=stage):
+            ms.dequantize_msvq(cb, i1, i2)
 
 
 class TestIo:

@@ -98,9 +98,15 @@ class TestNearest:
 
 
 def _forced(path):
-    """Patch the tree threshold so every search takes `path`."""
-    t = 0 if path == "tree" else np.iinfo(np.int64).max
-    return mock.patch.object(vq_core, "_TREE_MIN_CODEWORDS", t)
+    """Patch the search thresholds so every search takes `path`: "brute",
+    "tree", or "grid" (every codebook `_frozen_nearest` searches is gridded
+    when its dimension allows; the others take the tree)."""
+    never = np.iinfo(np.int64).max
+    tree, grid = {"brute": (never, never), "tree": (0, never),
+                  "grid": (0, 1)}[path]
+    return mock.patch.multiple(
+        vq_core, _TREE_MIN_CODEWORDS=tree, _GRID_MIN_CODEWORDS=grid
+    )
 
 
 def _search_case(l, k, n, kind, equal_rows, seed):
@@ -119,8 +125,37 @@ def _search_case(l, k, n, kind, equal_rows, seed):
     return vectors, codewords
 
 
+def _grid_case(l, k, n, kind, equal_rows, edge_rows, seed):
+    """Vectors for a grid search: `_search_case`'s, except that integer
+    codewords are mostly distinct (so cells list them) and "flat" codewords
+    share their first coordinate, plus rows on the grid's cell edges and
+    rows just outside its box."""
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        span = 2 * int(np.ceil(k ** (1 / l)))
+        codewords = rng.integers(0, span, (k, l)).astype(np.float64)
+        vectors = rng.integers(-2, 2 * span + 2, (n, l)) / 2.0
+    elif kind == "flat":
+        vectors, codewords = _search_case(l, k, n, "gaussian", 0, seed)
+        codewords[:, 0] = 1.5
+        vectors[::2, 0] = 1.5
+    else:
+        vectors, codewords = _search_case(l, k, n, kind, 0, seed)
+    m = min(equal_rows, n)
+    vectors[:m] = codewords[rng.integers(0, k, m)]
+    grid = vq_core._grid(codewords)
+    if grid is None:
+        return vectors, codewords
+    step = (grid.hi - grid.lo) / grid.shape
+    edges = grid.lo + rng.integers(0, np.add(grid.shape, 1), (edge_rows, l)) * step
+    outside = np.stack([np.nextafter(grid.lo, -np.inf),
+                        np.nextafter(grid.hi, np.inf),
+                        grid.lo - step, grid.hi + 3 * step])
+    return np.concatenate([vectors, edges, outside, [grid.lo, grid.hi]]), codewords
+
+
 class TestSearchPaths:
-    """The k-d tree and brute-force paths give the same bits."""
+    """The k-d tree, grid and brute-force paths give the same bits."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -138,11 +173,37 @@ class TestSearchPaths:
         with _forced("tree"):
             t_idx, t_dist = vq_core._assign(vectors, codewords)
         d_idx, d_dist = vq_core._assign(vectors, codewords)
+        with _forced("grid"):
+            g_idx = vq_core._frozen_nearest(vectors, codewords)
         for idx, dist in ((t_idx, t_dist), (d_idx, d_dist)):
             assert idx.dtype == b_idx.dtype == np.int64
             assert idx.tobytes() == b_idx.tobytes()
             assert dist.tobytes() == b_dist.tobytes()
+        assert g_idx.dtype == np.int64
+        assert g_idx.tobytes() == b_idx.tobytes()
         assert (b_dist >= 0).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        l=st.integers(1, 3),
+        k=st.sampled_from([512, 1024, 4096]),
+        n=st.integers(0, 400),
+        kind=st.sampled_from(["gaussian", "duplicates", "integer", "flat"]),
+        equal_rows=st.integers(0, 40),
+        edge_rows=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_grid_equals_brute(self, l, k, n, kind, equal_rows, edge_rows, seed):
+        vectors, codewords = _grid_case(l, k, n, kind, equal_rows, edge_rows, seed)
+        with _forced("brute"):
+            want = vq_core._nearest(vectors, codewords)
+        got = vq_core._frozen_nearest(vectors, codewords)
+        assert got.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+        q, rem = divmod(k.bit_length() - 1, l)
+        if rem == 0:  # a size a Codebook can have
+            idx = quantize_batch(Codebook(l, q, codewords), vectors)
+            assert idx.tobytes() == want.tobytes()
 
     def test_large_codebook_against_oracle(self):
         rng = np.random.default_rng(41)
@@ -178,6 +239,47 @@ class TestSearchPaths:
         finally:
             tracemalloc.stop()
         assert peak < 256 * len(vectors)
+
+    def test_grid_searches_few_vectors_again(self):
+        rng = np.random.default_rng(52)
+        cb = Codebook(2, 6, rng.uniform(-8, 8, (4096, 2)))
+        vectors = rng.uniform(-8, 8, (20_000, 2))
+        searched = []
+        tree_nearest = vq_core._tree_nearest
+
+        def counted(v, c, tree):
+            searched.append(len(v))
+            return tree_nearest(v, c, tree)
+
+        with mock.patch.object(vq_core, "_tree_nearest", counted):
+            idx = quantize_batch(cb, vectors)
+        with _forced("tree"):
+            assert idx.tobytes() == quantize_batch(cb, vectors).tobytes()
+        assert sum(searched) < 0.01 * len(vectors)
+
+    def test_grid_memoised_on_content(self):
+        cw = np.random.default_rng(53).uniform(-8, 8, (512, 2))
+        grid = vq_core._grid(cw)
+        assert grid is not None
+        assert vq_core._grid(cw.copy()) is grid
+        cw[0, 0] += 1.0
+        assert vq_core._grid(cw) is not grid
+
+    def test_grid_retains_little_memory(self):
+        cw = np.random.default_rng(54).uniform(-8, 8, (4096, 2))
+        vq_core._tree(cw)  # memoised on its own, so not counted below
+        tracemalloc.start()
+        try:
+            grid = vq_core._grid(cw)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid.table.dtype == np.uint16
+        # 16,384 cells of one two-byte slot per candidate of the longest
+        # list (about 18 here), plus the cache key
+        assert grid.counts.size == 16_384
+        assert retained < 1 << 20
+        assert peak < 8 << 20
 
     def test_tree_memoised_on_content(self):
         cw = np.random.default_rng(48).uniform(-8, 8, (512, 2))
