@@ -1,3 +1,4 @@
+import hashlib
 import logging
 
 import numpy as np
@@ -19,6 +20,14 @@ from tests.conftest import seeded_codebooks
 def _corpus(n, seed=0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, 2)) * [3.0, 1.0]
+
+
+def _point_masses(n, distinct, seed):
+    """n vectors drawn from `distinct` integer points: Lloyd's repair finds
+    no distortion to split, so some stage-1 cells stay empty."""
+    rng = np.random.default_rng(seed)
+    points = rng.integers(-3, 4, (distinct, 2)).astype(float)
+    return points[rng.integers(0, distinct, n)]
 
 
 class TestComplexity:
@@ -61,6 +70,35 @@ class TestTraining:
         np.testing.assert_array_equal(
             i1, quantize_batch(cb.stage1, vectors)
         )
+
+
+# name -> (corpus, q1, q2, seed, SHA-256 of the `save_msvq` bytes)
+PINNED = {
+    "q2 0": (lambda: _corpus(2000, seed=5), 3, 0, 6,
+             "792670ce83014271be3a189d5dee460a29f7508b13a15aaab12aa8df4fd6faae"),
+    "under-populated": (lambda: _corpus(300, seed=3), 2, 3, 4,
+                        "0456cf8d490fcb776342dd58e5690c1664b70458600253c14961e88c439ce838"),
+    "empty cell q2 0": (lambda: _point_masses(400, 10, seed=1), 2, 0, 2,
+                        "472e0d5b5437770e06e7f112f9807681dc397b73303de09f5322454f6cf108e3"),
+    "empty cell": (lambda: _point_masses(400, 10, seed=1), 2, 1, 2,
+                   "96b4ee0bce5c8b9f5c18c38ed9b1808b38da0e1636becb7e3ba7f953830dc2d4"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_trained_bytes_pinned(name, tmp_path):
+    # a refactor of training must leave every digest here as it is
+    corpus, q1, q2, seed, sha = PINNED[name]
+    cb = ms.train_msvq(corpus(), q1, q2, seed=seed)
+    members = [int(sub.usage_counts.sum()) for sub in cb.stage2]
+    size2 = cb.stage2[0].size
+    # each case covers what its name says
+    assert ("q2 0" in name) == (q2 == 0)
+    assert ("under" in name) == any(0 < m < size2 for m in members)
+    assert ("empty" in name) == (0 in members)
+    path = tmp_path / "cb.vqms"
+    ms.save_msvq(cb, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
 
 class TestQuantize:
