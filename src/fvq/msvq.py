@@ -6,6 +6,11 @@ Quantization searches stage 1 once and then only the selected cell's stage-2
 codebook, so the search cost is 2^(q1*l) + 2^(q2*l) distance evaluations per
 vector while the stored codeword count is 2^(q1*l) + 2^((q1+q2)*l).
 
+Training and quantization both group a batch by stage-1 index once
+(`_cells`: one stable argsort, then one slice per cell), so every cell sees
+its rows in batch order, and an empty cell or an empty batch is just a
+zero-row slice on the same path.
+
 Reconstruction returns the stage-2 codeword directly (cells hold absolute
 positions, not residuals).
 """
@@ -75,18 +80,19 @@ def msvq_complexity(q1: int, q2: int, l: int) -> tuple[int, int]:
 def _fill_codebook(members, size, anchor, rms):
     """Build a size-preserving codebook for an under-populated cell: the
     stage-1 anchor, the distinct members, then perturbed duplicates."""
-    rows = [np.asarray(anchor, dtype=np.float64)]
-    if len(members):
-        rows += [r for r in np.unique(members, axis=0)][: size - 1]
-    cw = np.empty((size, len(anchor)))
+    rows = np.vstack([anchor, np.unique(members, axis=0)])
     base = len(rows)
-    for i in range(size):
-        if i < base:
-            cw[i] = rows[i]
-        else:
-            k = 1 + (i - base) // base
-            cw[i] = rows[i % base] + 1e-3 * rms * k * (1 if i % 2 else -1)
+    i = np.arange(base, size)
+    cw = rows[np.arange(size) % base]
+    cw[base:] += (1e-3 * rms * (i // base) * np.where(i % 2, 1, -1))[:, None]
     return cw
+
+
+def _cells(idx1, cells):
+    """Row indices of every stage-1 cell, ascending within each: one stable
+    argsort, then one slice per cell (empty for an empty cell)."""
+    ends = np.cumsum(np.bincount(idx1, minlength=cells))
+    return np.split(np.argsort(idx1, kind="stable"), ends[:-1])
 
 
 def train_msvq(
@@ -104,7 +110,8 @@ def train_msvq(
     the least-used trained codeword), so refinement can never reconstruct a
     vector worse than the stage-1-only choice. A cell with fewer members
     than its stage-2 codebook size is repaired by perturbed duplication (a
-    warning is logged); q2 = 0 degenerates to plain VQ at q1 exactly.
+    warning is logged). With q2 = 0 each stage-2 codebook is its anchor
+    alone, so MSVQ degenerates to plain VQ at q1 exactly.
     """
     check_trainer(trainer)
     vecs = _as_vectors(vectors)
@@ -116,13 +123,9 @@ def train_msvq(
     size2 = codebook_size(l, q2)
     rms = float(np.sqrt(np.mean(vecs**2)))
     stage2 = []
-    for k in range(stage1.size):
-        members = vecs[idx1 == k]
+    for k, rows in enumerate(_cells(idx1, stage1.size)):
+        members = vecs[rows]
         anchor = stage1.codewords[k]
-        if q2 == 0:
-            usage = np.array([len(members)], dtype=np.uint64)
-            stage2.append(Codebook(l, 0, anchor[None, :].copy(), usage))
-            continue
         if len(members) >= size2:
             sub = train(members, q2, trials, stop, [int(seed), k + 1])
             cw = sub.codewords.copy()
@@ -135,11 +138,7 @@ def train_msvq(
                 k, len(members), size2,
             )
             cw = _fill_codebook(members, size2, anchor, rms)
-        if len(members):
-            mi = _nearest(members, cw)
-            usage = np.bincount(mi, minlength=size2).astype(np.uint64)
-        else:
-            usage = np.zeros(size2, dtype=np.uint64)
+        usage = np.bincount(_nearest(members, cw), minlength=size2)
         stage2.append(Codebook(l, q2, cw, usage))
     return MsvqCodebook(stage1, stage2, l, q1, q2)
 
@@ -149,22 +148,17 @@ def quantize_msvq(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(stage-1 indices, stage-2 indices) for a batch of vectors. Stage 1
     is one codebook searched whole (`_frozen_nearest`). A stage-2 codebook
-    sees only its cell's vectors, and with up to 2^(l*q1) of them one
-    memoised grid each would not stay cached, so they keep `_nearest`."""
+    sees only its cell's vectors (`_cells`), and with up to 2^(l*q1) of them
+    one memoised grid each would not stay cached, so they keep `_nearest`."""
     vecs = _as_vectors(vectors)
-    if vecs.size == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z
     if vecs.shape[1] != cb.l:
         raise ContractViolationError("vector length != MSVQ vector length")
     i1 = _frozen_nearest(vecs, cb.stage1.codewords)
     i2 = np.empty(len(vecs), dtype=np.int64)
     evals = cb.stage1.size * len(vecs)
-    for k in np.unique(i1):
-        sel = i1 == k
-        j = _nearest(vecs[sel], cb.stage2[k].codewords)
-        i2[sel] = j
-        evals += cb.stage2[k].size * int(sel.sum())
+    for sub, rows in zip(cb.stage2, _cells(i1, cb.stage1.size)):
+        i2[rows] = _nearest(vecs[rows], sub.codewords)
+        evals += sub.size * len(rows)
     if counter is not None:
         counter.add(evals, len(vecs))
     return i1, i2
@@ -175,14 +169,12 @@ def dequantize_msvq(cb: MsvqCodebook, i1, i2) -> np.ndarray:
     i2 = np.asarray(i2, dtype=np.int64)
     if i1.shape != i2.shape:
         raise ContractViolationError("index sequences differ in length")
-    if i1.size == 0:
-        return np.zeros((0, cb.l))
-    if i1.min() < 0 or i1.max() >= cb.stage1.size:
+    if i1.min(initial=0) < 0 or i1.max(initial=0) >= cb.stage1.size:
         raise ContractViolationError("stage-1 index out of range")
     # every stage-2 codebook has 2^(l*q2) codewords
     stacked = np.stack([sub.codewords for sub in cb.stage2])
     size2 = stacked.shape[1]
-    if i2.min() < 0 or i2.max() >= size2:
+    if i2.min(initial=0) < 0 or i2.max(initial=0) >= size2:
         raise ContractViolationError("stage-2 index out of range")
     # np.take: row gathers by fancy indexing are several times slower
     return np.take(stacked.reshape(-1, cb.l), i1 * size2 + i2, axis=0)

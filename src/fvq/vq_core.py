@@ -37,12 +37,14 @@ is within d0 + diag/2 + sqrt(tol) of v, and both are within r of x0: the
 list holds the nearest codeword and all its near ties. The candidates are
 ranked by |c|^2 - 2 v.c, padding slots at +inf. Where exactly one of them
 lies within the tie tolerance of the best, the best is the nearest codeword
-by more than the rounding of any path, so it is the brute-force index.
-Every other vector (a near tie, a vector outside the box, or one in a cell
-that would list more than `_GRID_SLOTS` codewords) takes the tree search
-above, so every index equals the tree path's. Training keeps `_nearest`,
-as its codewords change every iteration, and so do MSVQ's stage-2
-codebooks, which are too many to keep a grid each.
+by more than the rounding of any path, so it is the brute-force index. A
+near tie (more than one candidate within the tolerance) goes straight to
+brute force, as the tree path would after finding the same tie. A vector
+outside the box, or in a cell that would list more than `_GRID_SLOTS`
+codewords, takes `_nearest`, so a duplicate-heavy codebook keeps the tree
+for most of its vectors. Every index equals `_nearest`'s. Training keeps
+`_nearest`, as its codewords change every iteration, and so do MSVQ's
+stage-2 codebooks, which are too many to keep a grid each.
 
 Where training needs the distance to the chosen codeword (`_assign`), it is
 computed from the index alone, as (-2 v.c_j + |c_j|^2) + |v|^2 clamped at 0,
@@ -233,8 +235,13 @@ def codebook_size(l_vq: int, q_vq: int) -> int:
 
 def _as_vectors(vectors) -> np.ndarray:
     if isinstance(vectors, VectorBatch):
-        return vectors.vectors
-    return np.asarray(vectors, dtype=np.float64)
+        vectors = vectors.vectors
+    vecs = np.asarray(vectors, dtype=np.float64)
+    if vecs.ndim != 2:
+        raise ContractViolationError(
+            f"vectors must be a 2-D array, got shape {vecs.shape}"
+        )
+    return vecs
 
 
 def nearest_codeword(codebook: Codebook, vector, counter: SearchCounter = None) -> int:
@@ -306,10 +313,9 @@ def _tree_nearest(vectors, codewords, tree):
     lo = np.ascontiguousarray(d[:, 1])
     tol = _tie_tolerance(vectors, codewords)
     near = np.flatnonzero(sq[:, 1] - sq[:, 0] <= tol)
-    if near.size:
-        idx[near] = _brute_nearest(vectors[near], codewords)
-        # brute force may pick the tree's second word, so bound by the first
-        lo[near] = d[near, 0]
+    idx[near] = _brute_nearest(vectors[near], codewords)
+    # brute force may pick the tree's second word, so bound by the first
+    lo[near] = d[near, 0]
     return idx, lo
 
 
@@ -404,7 +410,8 @@ def _frozen_nearest(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarray:
     _check_finite(vectors)
     n = len(vectors)
     idx = np.empty(n, dtype=np.int64)
-    settle = np.empty(n, dtype=bool)
+    tied = np.empty(n, dtype=bool)
+    far = np.empty(n, dtype=bool)
     tol = _tie_tolerance(vectors, codewords)
     cw_sq = np.einsum("kl,kl->k", codewords, codewords)
     axes = np.ascontiguousarray(codewords.T)
@@ -429,13 +436,14 @@ def _frozen_nearest(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarray:
         best = np.argmin(f, axis=0)[None]
         near = np.take_along_axis(f, best, axis=0)[0] + tol[a:b]
         idx[a:b] = np.take_along_axis(cand, best, axis=0)[0]
-        # the tree settles a vector outside the box, in a cell that lists
-        # none, or with more than one candidate within the tolerance
-        ties = np.count_nonzero(f <= near, axis=0) != 1
-        settle[a:b] = outside | (listed == 0) | ties
-    rows = np.flatnonzero(settle)
-    if rows.size:
-        idx[rows] = _tree_nearest(vectors[rows], codewords, _tree(codewords))[0]
+        tied[a:b] = np.count_nonzero(f <= near, axis=0) != 1
+        far[a:b] = outside | (listed == 0)
+    # the candidates ranked for a far vector need not hold its nearest
+    # codeword, so whether it showed a tie or not, `_nearest` decides
+    rows = np.flatnonzero(tied & ~far)
+    idx[rows] = _brute_nearest(vectors[rows], codewords)
+    rows = np.flatnonzero(far)
+    idx[rows] = _nearest(vectors[rows], codewords)
     return idx
 
 
@@ -531,8 +539,7 @@ def _bounded_nearest(vectors, old, new, idx, lo):
     u = u[rows]
     b = np.maximum(b[rows], (sep[idx[rows]] - u) * (1.0 - _BOUND_SLACK))
     rows = rows[(b - u) * (b + u) <= gap[rows]]
-    if rows.size:
-        idx[rows], lo[rows] = _tree_nearest(vectors[rows], new, tree)
+    idx[rows], lo[rows] = _tree_nearest(vectors[rows], new, tree)
     return idx, lo
 
 
@@ -658,8 +665,6 @@ def quantize_batch(
 ) -> np.ndarray:
     """Nearest-codeword index for every vector."""
     vecs = _as_vectors(vectors)
-    if vecs.size == 0:
-        return np.zeros(0, dtype=np.int64)
     if vecs.shape[1] != codebook.l_vq:
         raise ContractViolationError("vector length != codebook l_vq")
     idx = _frozen_nearest(vecs, codebook.codewords)
@@ -670,9 +675,7 @@ def quantize_batch(
 
 def dequantize_batch(codebook: Codebook, indices) -> np.ndarray:
     indices = np.asarray(indices, dtype=np.int64)
-    if indices.size == 0:
-        return np.zeros((0, codebook.l_vq))
-    if indices.min() < 0 or indices.max() >= codebook.size:
+    if indices.min(initial=0) < 0 or indices.max(initial=0) >= codebook.size:
         raise ContractViolationError("codeword index out of range")
     return codebook.codewords[indices]
 

@@ -120,11 +120,13 @@ class TestQuantize:
         d1 = np.sum((cb.stage1.codewords[i1[0]] - target) ** 2)
         assert d2 <= d1 + 1e-12
 
-    def test_refinement_never_worse_than_stage1(self):
+    @pytest.mark.parametrize("n", [800, 0])
+    def test_refinement_never_worse_than_stage1(self, n):
         cb = ms.train_msvq(_corpus(9000, seed=12), 3, 2, seed=13)
-        vectors = _corpus(800, seed=14)
+        vectors = _corpus(n, seed=14)
         i1, i2 = ms.quantize_msvq(cb, vectors)
         rec2 = ms.dequantize_msvq(cb, i1, i2)
+        assert rec2.shape == (n, 2)
         rec1 = cb.stage1.codewords[i1]
         d2 = np.sum((vectors - rec2) ** 2, axis=1)
         d1 = np.sum((vectors - rec1) ** 2, axis=1)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fvq import entropy, frontend, pipeline, upmgq, vq_core
+from fvq import entropy, frontend, msvq, pipeline, upmgq, vq_core
 from fvq.errors import ContractViolationError, FormatError
 from fvq.iqstream import IQStream
 from fvq.vectorizer import VectorBatch, VectorLayout
@@ -427,6 +427,30 @@ def test_non_finite_vector_refused(call, bad, q_vq):
 
 
 @pytest.mark.parametrize(
+    "bad", [np.array([1.0, 2.0]), np.zeros((0, 3))], ids=["1-D", "empty l=3"]
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cb, v: quantize_batch(cb, v),
+        lambda cb, v: lloyd_iterate(v, cb),
+        lambda cb, v: train_classical(v, cb.q_vq, 1, seed=1),
+        lambda cb, v: train_modified(v, cb.q_vq, 2, seed=1),
+        lambda cb, v: msvq.train_msvq(v, 1, 1, seed=1),
+        lambda cb, v: msvq.quantize_msvq(
+            seeded_codebooks(pipeline.MsvqSpec(2, 2, 2)), v
+        ),
+    ],
+    ids=["quantize_batch", "lloyd_iterate", "train_classical",
+         "train_modified", "train_msvq", "quantize_msvq"],
+)
+def test_batch_shape_refused(call, bad):
+    # every batch is a 2-D array of l = 2 vectors
+    with pytest.raises(ContractViolationError):
+        call(_random_codebook(2, 2, seed=6), bad)
+
+
+@pytest.mark.parametrize(
     "build",
     [
         lambda: entropy.build_huffman([0.25] * 4),
@@ -583,6 +607,7 @@ class TestQuantize:
     def test_empty_batch(self):
         cb = _random_codebook(2, 2)
         assert quantize_batch(cb, np.zeros((0, 2))).size == 0
+        assert dequantize_batch(cb, np.zeros(0, np.int64)).shape == (0, 2)
 
     def test_vq_gain(self):
         assert vq_core.vq_gain(15, 6) == 2.5
