@@ -10,17 +10,21 @@ the chain is returned.
 
 Nearest-codeword search (`_nearest`) has two paths, chosen by codebook size
 K. Below `_TREE_MIN_CODEWORDS` it is brute force: one matrix product per
-chunk ranks every codeword by |c|^2 - 2 v.c and the row argmin wins, so
-exact ties break to the lowest index. From that size on it is an exact k-d
-tree search (Friedman, Bentley & Finkel 1977; `scipy.spatial.cKDTree`,
-memoised on the codewords' content) for each vector's two nearest
-codewords. A vector whose two nearest squared distances differ by at most
-1e-9 (|v|^2 + max |c|^2), far above the rounding of either path, is
-searched again by brute force. Every index therefore equals the brute-force
-one, exact ties and duplicate codewords included, so the threshold changes
-speed, not output. The one exception is a tie within rounding: the matrix
-product can round a one-row batch differently, so such a tie may fall
-either way. Non-finite vectors are refused on both paths.
+chunk ranks every codeword by |c|^2 - 2 v.c and the row argmin wins. The
+product can round bit-equal codewords an ulp apart, differently by where a
+row falls in the batch, so an index whose codeword equals one of lower
+index is replaced by that one (`_first_equal`); exact ties, duplicate
+codewords included, thus break to the lowest index. From that size on it is
+an exact k-d tree search (Friedman, Bentley & Finkel 1977;
+`scipy.spatial.cKDTree`, memoised on the codewords' content) for each
+vector's two nearest codewords. A vector whose two nearest squared
+distances differ by at most 1e-9 (|v|^2 + max |c|^2), far above the
+rounding of either path, is searched again by brute force. Every index
+therefore equals the brute-force one, exact ties and duplicate codewords
+included, so the threshold changes speed, not output. The one exception is
+a tie within rounding between distinct codewords: the matrix product can
+round a one-row batch differently, so such a tie may fall either way.
+Non-finite vectors are refused on both paths.
 
 A codebook that compress searches whole, one fixed codebook per frame
 (`quantize_batch`, the UPMGQ G2 search and MSVQ stage 1), is searched by
@@ -270,7 +274,30 @@ def _brute_nearest(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarray:
         g *= -2.0
         g += cw_sq[None, :]
         idx[a : a + chunk] = np.argmin(g, axis=1)
-    return idx
+    first = _first_equal(codewords)
+    return idx if first is None else np.take(first, idx)
+
+
+def _first_equal(codewords: np.ndarray):
+    """For every codeword the lowest index of a codeword equal to it, or
+    None when they are all distinct."""
+    # equal codewords share their first coordinate, and one sort of it
+    # clears most codebooks
+    x = np.sort(codewords[:, 0])
+    if not (x[1:] == x[:-1]).any():
+        return None
+    order = np.lexsort(codewords.T)
+    ranked = codewords[order]
+    starts = np.empty(len(order), dtype=bool)
+    starts[:1] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    if starts.all():
+        return None
+    # lexsort is stable, so each run of equal codewords starts at its lowest
+    # index
+    first = np.empty_like(order)
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    return first
 
 
 @functools.lru_cache(maxsize=8)

@@ -73,6 +73,17 @@ class TestNearest:
         cb = Codebook(2, 2, cw)
         assert nearest_codeword(cb, np.zeros(2)) == 3
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_duplicate_codewords_tie_low(self, seed):
+        # the matrix product may round bit-equal codewords an ulp apart
+        vectors, codewords = _search_case(4, 511, 300, "duplicates", 0, seed)
+        idx = vq_core._brute_nearest(vectors, codewords)
+        lowest = [np.flatnonzero((codewords == codewords[j]).all(axis=1))[0]
+                  for j in idx]
+        np.testing.assert_array_equal(idx, lowest)
+        alone = [vq_core._brute_nearest(v[None], codewords)[0] for v in vectors]
+        np.testing.assert_array_equal(idx, alone)
+
     def test_against_brute_force_oracle(self):
         cb = _random_codebook(3, 2, seed=2)
         rng = np.random.default_rng(3)
@@ -166,6 +177,8 @@ class TestSearchPaths:
         equal_rows=st.integers(0, 40),
         seed=st.integers(0, 2**32 - 1),
     )
+    # bit-equal codewords the matrix product rounded an ulp apart
+    @example(l=4, k=511, n=38, kind="duplicates", equal_rows=0, seed=1304298)
     def test_tree_equals_brute(self, l, k, n, kind, equal_rows, seed):
         vectors, codewords = _search_case(l, k, n, kind, equal_rows, seed)
         with _forced("brute"):
