@@ -115,7 +115,6 @@ def train_msvq(
     """
     check_trainer(trainer)
     vecs = _as_vectors(vectors)
-    stop = stop or LloydStop()
     l = vecs.shape[1]
     train = train_classical if trainer == CLASSICAL else train_modified
     stage1 = train(vecs, q1, trials, stop, seed)

@@ -277,11 +277,10 @@ class MsvqSpec(_IndexQuantizer):
 
 
 @dataclass
-class UpmgqSpec:
-    theta: int = 0
-    q_high: int = 4
-    l: int = 2
-    q_low: int = 4
+class UpmgqSpec(UpmgqConfig):
+    """UPMGQ geometry (validated by `UpmgqConfig`) plus the chain's block
+    scaling range and the G3 entropy-coding switch."""
+
     q_scale: int = 6  # block-scaling dynamic range (bits)
     g3_entropy: bool = False
 
@@ -291,9 +290,6 @@ class UpmgqSpec:
     def scale_bits(self):
         return self.q_scale
 
-    def config(self, q0: int) -> UpmgqConfig:
-        return UpmgqConfig(self.theta, self.q_high, self.l, self.q_low, q0)
-
     def check(self, cb):
         _require(cb, UpmgqCodebook, self.kind)
         if cb.theta != self.theta or cb.q_low != self.q_low:
@@ -302,9 +298,7 @@ class UpmgqSpec:
             raise ContractViolationError("UPMGQ G2 geometry mismatch")
 
     def train(self, x, profile, trainer, trials, stop, seed):
-        cb = upmgq.train_upmgq(
-            x, self.config(profile.q0), trainer, stop, seed, trials
-        )
+        cb = upmgq.train_upmgq(x, self, trainer, stop, seed, trials)
         log.info("G2 distortion %.6g", cb.high_vq.training_meta.final_distortion)
         return cb
 
@@ -312,8 +306,8 @@ class UpmgqSpec:
         g2, g3 = (None, None) if counter is None else (
             SearchCounter(), SearchCounter()
         )
-        ind = quantize_upmgq(cb, self.config(profile.q0), x, g2, g3)
-        n = ind.component_count
+        ind = quantize_upmgq(cb, self, x, g2, g3)
+        n = len(ind.sign_negative)
         bits.sections += [
             Section(SEC_SIGN, n, n, pack_bit_array(ind.sign_negative)),
             _index_section(
@@ -349,8 +343,8 @@ class UpmgqSpec:
             profile.entropy_coding, self.l,
         )
         g3 = self._decode_g3(bits.section(SEC_G3, n), n)
-        ind = UpmgqIndices(signs.astype(np.uint8), g2, g3, n)
-        return dequantize_upmgq(cb, self.config(profile.q0), ind, rate)
+        ind = UpmgqIndices(signs.astype(np.uint8), g2, g3)
+        return dequantize_upmgq(cb, self, ind, rate)
 
     def _decode_g3(self, sec, n: int) -> np.ndarray:
         if self.g3_entropy:
@@ -370,10 +364,10 @@ class UpmgqSpec:
         stats.quantizer_gain = upmgq.cr_upmgq(stats.l_high, self.l, stats.l_low, q0)
 
     def save(self, cb, path, q0):
-        upmgq.save_upmgq(cb, self.config(q0), path)
+        upmgq.save_upmgq(cb, path, q0)
 
     def load(self, path):
-        return upmgq.load_upmgq(path)[0]
+        return upmgq.load_upmgq(path)
 
 
 @dataclass

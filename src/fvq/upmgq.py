@@ -16,11 +16,17 @@ level theta into three groups:
 The expansion identity sign * (high + low) = s holds exactly for every finite
 float: high truncates |s| at bit position theta, so both parts and their sum
 are exactly representable.
+
+`UpmgqConfig` (theta, q_high, l, q_low) is the one geometry type, which the
+pipeline's `UpmgqSpec` extends. Quantization expands a frame once. The UPMG
+container takes its geometry from the codebook, and loading checks the header
+against the file size before reading the body.
 """
 
 import math
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,20 +55,18 @@ _UPMG_VERSION = 1
 
 @dataclass
 class UpmgqConfig:
+    """UPMGQ geometry: threshold level theta, G2 vectors of l components at
+    q_high bits each, and q_low-bit G3 codes."""
+
     theta: int = 0
     q_high: int = 4
-    l_upmgq: int = 2
+    l: int = 2
     q_low: int = 4
-    q0: int = 15
 
     def __post_init__(self):
-        if self.q_high < 1 or self.l_upmgq < 1:
-            raise ContractViolationError("q_high and l_upmgq must be positive")
-        if self.q_low < 0:
-            raise ContractViolationError("q_low must be >= 0")
-        if self.q0 < 1:
-            raise ContractViolationError("q0 must be positive")
-        if self.q_high * self.l_upmgq > 62 or self.q_low > 62:
+        if self.q_high < 1 or self.l < 1 or self.q_low < 0:
+            raise ContractViolationError("need q_high >= 1, l >= 1, q_low >= 0")
+        if self.q_high * self.l > 62 or self.q_low > 62:
             raise ContractViolationError("resolution overflows")
 
 
@@ -89,7 +93,6 @@ class UpmgqIndices:
     sign_negative: np.ndarray  # (2M,) uint8
     g2_indices: np.ndarray  # (ceil(2M / l),) int64
     g3_codes: np.ndarray  # (2M,) int64
-    component_count: int = 0
 
 
 def expand(sample: float, theta: int) -> tuple[int, float, float]:
@@ -135,13 +138,11 @@ def level_statistics(stream: IQStream, levels=range(-8, 8)) -> LevelStats:
     return LevelStats(levels, p, float(np.mean(comps < 0)))
 
 
-def _high_batch(stream: IQStream, theta: int, l: int) -> VectorBatch:
-    comps = np.concatenate([stream.samples.real, stream.samples.imag])
-    _, high, _ = _expand_components(comps, theta)
+def _high_batch(high: np.ndarray, theta: int, l: int) -> VectorBatch:
+    """G2 vectors from the high parts of 2M components (all I, then all Q)."""
     norm = high * math.ldexp(1.0, -theta)
-    m = len(stream)
-    carrier = IQStream(norm[:m] + 1j * norm[m:], stream.sample_rate)
-    return vectorize(carrier, VectorLayout.METHOD1, l)
+    m = len(high) // 2
+    return vectorize(IQStream(norm[:m] + 1j * norm[m:]), VectorLayout.METHOD1, l)
 
 
 def train_upmgq(
@@ -161,18 +162,16 @@ def train_upmgq(
     check_trainer(trainer)
     if len(stream) == 0:
         raise ContractViolationError("empty stream")
-    stop = stop or LloydStop()
-    batch = _high_batch(stream, cfg.theta, cfg.l_upmgq)
+    comps = np.concatenate([stream.samples.real, stream.samples.imag])
+    batch = _high_batch(_expand_components(comps, cfg.theta)[1], cfg.theta, cfg.l)
     train = train_classical if trainer == CLASSICAL else train_modified
     cb = train(batch.vectors, cfg.q_high, trials, stop, seed)
     rounded = np.maximum(np.round(cb.codewords), 0.0)
     idx = _nearest(batch.vectors, rounded)
     usage = np.bincount(idx, minlength=len(rounded)).astype(np.uint64)
-    high_vq = Codebook(cfg.l_upmgq, cfg.q_high, rounded, usage, cb.training_meta)
+    high_vq = Codebook(cfg.l, cfg.q_high, rounded, usage, cb.training_meta)
     table = build_huffman(estimate_pmf(idx, high_vq.size))
-    return UpmgqCodebook(
-        high_vq, _low_grid(cfg), table, cfg.theta, cfg.q_low
-    )
+    return UpmgqCodebook(high_vq, _low_grid(cfg), table, cfg.theta, cfg.q_low)
 
 
 def _low_grid(cfg: UpmgqConfig) -> np.ndarray:
@@ -184,32 +183,27 @@ def quantize_upmgq(
     cb: UpmgqCodebook,
     cfg: UpmgqConfig,
     stream: IQStream,
-    counter: SearchCounter = None,
+    g2_counter: SearchCounter = None,
     g3_counter: SearchCounter = None,
 ) -> UpmgqIndices:
     """Quantize a normalized stream into (G1, G2, G3) index groups.
 
-    G2 searches (one per vector) are counted into `counter`, G3 searches
-    (one per component) into `g3_counter`, or into `counter` too when
-    `g3_counter` is None."""
+    G2 searches (one per vector) are counted into `g2_counter`, G3 searches
+    (one per component) into `g3_counter`."""
     if len(stream) == 0:
         raise ContractViolationError("empty stream")
     comps = np.concatenate([stream.samples.real, stream.samples.imag])
     neg, high, low = _expand_components(comps, cfg.theta)
-    batch = _high_batch(stream, cfg.theta, cfg.l_upmgq)
+    batch = _high_batch(high, cfg.theta, cfg.l)
     g2 = _frozen_nearest(batch.vectors, cb.high_vq.codewords)
-    # G3 is a genuine nearest-point search over the reconstruction grid so
-    # the instrumented search count reflects real distance evaluations.
+    # G3 takes the nearest grid point, ties to the lower code; the counter
+    # adds the closed-form count like every other search (SearchCounter).
     g3 = np.argmin(np.abs(low[:, None] - cb.low_sq[None, :]), axis=1)
-    if counter is not None:
-        counter.add(cb.high_vq.size * len(batch.vectors), len(batch.vectors))
-    if g3_counter is None:
-        g3_counter = counter
+    if g2_counter is not None:
+        g2_counter.add(cb.high_vq.size * len(batch.vectors), len(batch.vectors))
     if g3_counter is not None:
         g3_counter.add(len(cb.low_sq) * len(comps), len(comps))
-    return UpmgqIndices(
-        neg.astype(np.uint8), g2, g3.astype(np.int64), len(comps)
-    )
+    return UpmgqIndices(neg.astype(np.uint8), g2, g3.astype(np.int64))
 
 
 def dequantize_upmgq(
@@ -219,31 +213,24 @@ def dequantize_upmgq(
     sample_rate=1,
 ) -> IQStream:
     """Rebuild the stream: sign * (2^theta * G2 component + G3 midpoint)."""
-    n = indices.component_count
+    n = len(indices.sign_negative)
     if n % 2:
         raise ContractViolationError("component count must be even")
-    l = cfg.l_upmgq
-    n_vec = -(-n // l)
-    if len(indices.g2_indices) != n_vec or len(indices.g3_codes) != n:
+    g2, g3 = indices.g2_indices, indices.g3_codes
+    if len(g2) != -(-n // cfg.l) or len(g3) != n:
         raise ContractViolationError("index group lengths are inconsistent")
-    if len(indices.g2_indices) and (
-        indices.g2_indices.min() < 0
-        or indices.g2_indices.max() >= cb.high_vq.size
-    ):
+    if g2.min(initial=0) < 0 or g2.max(initial=0) >= cb.high_vq.size:
         raise ContractViolationError("G2 index out of range")
-    if indices.g3_codes.min(initial=0) < 0 or indices.g3_codes.max(
-        initial=0
-    ) >= len(cb.low_sq):
+    if g3.min(initial=0) < 0 or g3.max(initial=0) >= len(cb.low_sq):
         raise ContractViolationError("G3 code out of range")
-    high_vecs = cb.high_vq.codewords[indices.g2_indices]
     batch = VectorBatch(
-        l, high_vecs, VectorLayout.METHOD1, original_count=n
+        cfg.l, cb.high_vq.codewords[g2], VectorLayout.METHOD1, original_count=n
     )
     high_stream = devectorize(batch, sample_rate)
     high = np.concatenate(
         [high_stream.samples.real, high_stream.samples.imag]
     ) * math.ldexp(1.0, cfg.theta)
-    low = cb.low_sq[indices.g3_codes]
+    low = cb.low_sq[g3]
     sign = 1.0 - 2.0 * indices.sign_negative.astype(np.float64)
     comps = sign * (high + low)
     m = n // 2
@@ -260,32 +247,27 @@ def cr_upmgq(l_high: float, l_upmgq: int, l_low: float, q0: int) -> float:
 
 def upmgq_complexity(cfg: UpmgqConfig) -> tuple[int, int]:
     """(search operations, codebook size); both 2^(q_high*l) + 2^q_low."""
-    so = codebook_size(cfg.l_upmgq, cfg.q_high) + (1 << cfg.q_low)
+    so = codebook_size(cfg.l, cfg.q_high) + (1 << cfg.q_low)
     return so, so
 
 
-def save_upmgq(cb: UpmgqCodebook, cfg: UpmgqConfig, path) -> None:
-    """UPMG container: magic, version, config, G2 VQCB block, G3 grid as
-    float32, then the G2 Huffman code lengths."""
+def save_upmgq(cb: UpmgqCodebook, path, q0: int) -> None:
+    """UPMG container: magic, version, geometry and q0, G2 VQCB block, G3
+    grid as float32, then the G2 Huffman code lengths."""
+    high = cb.high_vq
     with open(path, "wb") as fh:
-        fh.write(
-            UPMG_MAGIC
-            + struct.pack(
-                "<BbBBBB",
-                _UPMG_VERSION,
-                cfg.theta,
-                cfg.q_high,
-                cfg.l_upmgq,
-                cfg.q_low,
-                cfg.q0,
-            )
-        )
-        save_codebook(cb.high_vq, fh)
+        fh.write(UPMG_MAGIC + struct.pack(
+            "<BbBBBB", _UPMG_VERSION, cb.theta, high.q_vq, high.l_vq, cb.q_low, q0
+        ))
+        save_codebook(high, fh)
         fh.write(cb.low_sq.astype("<f4").tobytes())
         fh.write(cb.huffman_high.code_lengths.astype(np.uint8).tobytes())
 
 
-def load_upmgq(path) -> tuple[UpmgqCodebook, UpmgqConfig]:
+def load_upmgq(path) -> UpmgqCodebook:
+    """Read a UPMG container. The header must declare a valid geometry whose
+    body is exactly the rest of the file, and the G2 block must have that
+    geometry; q0 is checked and otherwise unused."""
     with open(path, "rb") as fh:
         header = fh.read(14)
         if len(header) < 14 or header[:8] != UPMG_MAGIC:
@@ -295,15 +277,23 @@ def load_upmgq(path) -> tuple[UpmgqCodebook, UpmgqConfig]:
         )
         if version != _UPMG_VERSION:
             raise FormatError(f"unsupported UPMG version {version}")
-        cfg = UpmgqConfig(theta, q_high, l, q_low, q0)
+        try:
+            cfg = UpmgqConfig(theta, q_high, l, q_low)
+        except ContractViolationError as exc:
+            raise FormatError(f"bad UPMG geometry: {exc}") from exc
+        if q0 < 1:
+            raise FormatError("UPMG q0 must be positive")
+        k = codebook_size(l, q_high)
+        # VQCB header, codewords, usage counts, G3 grid, code lengths
+        body = 15 + k * (4 * l + 8) + (4 << q_low) + k
+        if body != os.fstat(fh.fileno()).st_size - 14:
+            raise FormatError("UPMG header does not match the file size")
         high_vq = load_codebook(fh)
-        n_low = 1 << q_low
-        low_raw = fh.read(4 * n_low)
-        lens_raw = fh.read(high_vq.size)
-        if len(low_raw) < 4 * n_low or len(lens_raw) < high_vq.size:
-            raise FormatError("truncated UPMG body")
+        if (high_vq.l_vq, high_vq.q_vq) != (l, q_high):
+            raise FormatError("G2 block geometry mismatch")
+        low_raw = fh.read(4 << q_low)
         if low_raw != _low_grid(cfg).astype("<f4").tobytes():
             raise FormatError("G3 grid is not the configuration's midpoints")
         low_sq = np.frombuffer(low_raw, dtype="<f4").astype(np.float64)
-        table = table_from_lengths(np.frombuffer(lens_raw, dtype=np.uint8))
-    return UpmgqCodebook(high_vq, low_sq, table, theta, q_low), cfg
+        table = table_from_lengths(np.frombuffer(fh.read(k), dtype=np.uint8))
+    return UpmgqCodebook(high_vq, low_sq, table, theta, q_low)

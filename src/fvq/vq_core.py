@@ -86,6 +86,7 @@ training is bit-reproducible for a fixed seed.
 
 import functools
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -745,14 +746,15 @@ def _read_codebook(fh) -> Codebook:
     version, l_vq, q_vq, count = struct.unpack_from("<BBBI", header, 8)
     if version != _VQCB_VERSION:
         raise FormatError(f"unsupported VQCB version {version}")
-    if count != codebook_size(l_vq, q_vq):
+    # count is a uint32, so this also refuses l_vq * q_vq > 62
+    if l_vq < 1 or count != 1 << (l_vq * q_vq):
         raise FormatError("VQCB codeword count inconsistent with geometry")
-    body = fh.read(4 * count * l_vq)
-    counts = fh.read(8 * count)
-    if len(body) < 4 * count * l_vq or len(counts) < 8 * count:
+    here = fh.tell()
+    if count * (4 * l_vq + 8) > fh.seek(0, os.SEEK_END) - here:
         raise FormatError("truncated VQCB body")
-    codewords = (
-        np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(count, l_vq)
-    )
-    usage = np.frombuffer(counts, dtype="<u8").astype(np.uint64)
-    return Codebook(l_vq, q_vq, codewords, usage)
+    fh.seek(here)
+    codewords = np.frombuffer(fh.read(4 * count * l_vq), dtype="<f4")
+    if not np.isfinite(codewords).all():
+        raise FormatError("VQCB codewords must be finite")
+    usage = np.frombuffer(fh.read(8 * count), dtype="<u8").astype(np.uint64)
+    return Codebook(l_vq, q_vq, codewords.reshape(count, l_vq), usage)

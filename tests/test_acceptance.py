@@ -149,7 +149,7 @@ def _measured_upmgq_so_cs(theta, q_high, l, q_low):
     )
     cb = upmgq.UpmgqCodebook(
         high_vq,
-        (np.arange(2**q_low) + 0.5) * math.ldexp(1.0, theta) / 2**q_low,
+        upmgq._low_grid(cfg),
         ec.build_huffman(np.full(size, 1.0 / size)),
         theta,
         q_low,

@@ -168,8 +168,9 @@ class TestTrainCompressDecompress:
                   "--out", tmp_path / "x.iqf")
         assert rc == 3
 
-    def test_hostile_upmgq_code_lengths_exit_code_3(self, profile_path,
-                                                    tmp_path):
+    def _compress_with_edited_upmg(self, profile_path, tmp_path, edit):
+        """Exit code of compress with a seeded UPMG codebook whose file bytes
+        `edit(blob, codebook)` changes in place."""
         config = json.loads(profile_path.read_text())
         config["quantizer"] = QUANTIZERS[2]
         profile_path.write_text(json.dumps(config))
@@ -177,13 +178,26 @@ class TestTrainCompressDecompress:
         cb = seeded_codebooks(profile.quantizer, seed=4)
         path, corpus = tmp_path / "cb.upmg", tmp_path / "c.iqf"
         profile.quantizer.save(cb, path, profile.q0)
-        # every G2 code one bit long: a Kraft sum of 32
-        blob = path.read_bytes()
-        path.write_bytes(blob[: -cb.high_vq.size] + b"\x01" * cb.high_vq.size)
+        blob = bytearray(path.read_bytes())
+        edit(blob, cb)
+        path.write_bytes(bytes(blob))
         _run("gen", "--profile", profile_path, "--out", corpus)
-        rc = _run("compress", "--profile", profile_path, "--codebook", path,
-                  "--in", corpus, "--out", tmp_path / "c.cpz")
-        assert rc == 3
+        return _run("compress", "--profile", profile_path, "--codebook", path,
+                    "--in", corpus, "--out", tmp_path / "c.cpz")
+
+    def test_hostile_upmgq_code_lengths_exit_code_3(self, profile_path,
+                                                    tmp_path):
+        def edit(blob, cb):
+            # every G2 code one bit long: a Kraft sum of 32
+            blob[-cb.high_vq.size:] = b"\x01" * cb.high_vq.size
+
+        assert self._compress_with_edited_upmg(profile_path, tmp_path, edit) == 3
+
+    def test_hostile_upmgq_header_exit_code_3(self, profile_path, tmp_path):
+        def edit(blob, cb):
+            blob[10] = 0  # q_high
+
+        assert self._compress_with_edited_upmg(profile_path, tmp_path, edit) == 3
 
     def test_missing_codebook_exit_code_4(self, profile_path, tmp_path):
         corpus = tmp_path / "c.iqf"

@@ -63,6 +63,15 @@ class TestProfile:
         with pytest.raises(ContractViolationError, match="no index bits"):
             CompressionProfile.from_dict({"quantizer": quantizer})
 
+    @pytest.mark.parametrize("geometry", [
+        {"q_high": 0}, {"l": 0}, {"q_low": -1},
+    ])
+    def test_bad_upmgq_geometry_refused(self, geometry):
+        with pytest.raises(ContractViolationError):
+            CompressionProfile.from_dict(
+                {"quantizer": {"kind": "upmgq", **geometry}}
+            )
+
     def test_fractional_decimated_symbol_refused(self):
         # CP-removed symbols are resampled one by one: 1020 * 5/8 = 637.5
         with pytest.raises(ContractViolationError):

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from fvq import pipeline
 from fvq import upmgq as ug
 from fvq.errors import ContractViolationError, FormatError
 from fvq.iqstream import IQStream
-from fvq.vq_core import SearchCounter
+from fvq.vq_core import Codebook, SearchCounter, save_codebook
 from tests.conftest import seeded_codebooks
 
 
@@ -85,7 +86,7 @@ class TestLevelStatistics:
 
 
 def _cfg(theta=0, q_high=4, l=2, q_low=4):
-    return ug.UpmgqConfig(theta=theta, q_high=q_high, l_upmgq=l, q_low=q_low)
+    return ug.UpmgqConfig(theta=theta, q_high=q_high, l=l, q_low=q_low)
 
 
 class TestTraining:
@@ -146,7 +147,9 @@ class TestQuantize:
         ind = ug.quantize_upmgq(cb, cfg, s)
         out = ug.dequantize_upmgq(cb, cfg, ind, s.sample_rate)
         # per-component error < G3 half step + max G2 cell radius
-        batch = ug._high_batch(s, cfg.theta, cfg.l_upmgq)
+        comps = np.concatenate([s.samples.real, s.samples.imag])
+        high = ug._expand_components(comps, cfg.theta)[1]
+        batch = ug._high_batch(high, cfg.theta, cfg.l)
         from fvq.vq_core import _assign
 
         idx, dist = _assign(batch.vectors, cb.high_vq.codewords)
@@ -182,9 +185,9 @@ class TestQuantize:
         s = _scaled_stream(1024, seed=17)
         cb = ug.train_upmgq(s, cfg, seed=18)
         counter = SearchCounter()
-        ug.quantize_upmgq(cb, cfg, s, counter)
+        ug.quantize_upmgq(cb, cfg, s, counter, counter)
         # G2 searched per vector, G3 per component
-        n_vec = math.ceil(2 * len(s) / cfg.l_upmgq)
+        n_vec = math.ceil(2 * len(s) / cfg.l)
         n_comp = 2 * len(s)
         assert counter.distance_evals == 64 * n_vec + 8 * n_comp
 
@@ -208,9 +211,11 @@ class TestIo:
         s = _scaled_stream(9000, seed=19)
         cb = ug.train_upmgq(s, cfg, seed=20)
         path = tmp_path / "cb.upmg"
-        ug.save_upmgq(cb, cfg, path)
-        loaded, loaded_cfg = ug.load_upmgq(path)
-        assert loaded_cfg == cfg
+        ug.save_upmgq(cb, path, 15)
+        loaded = ug.load_upmgq(path)
+        assert (loaded.theta, loaded.q_low) == (cfg.theta, cfg.q_low)
+        assert (loaded.high_vq.l_vq, loaded.high_vq.q_vq) == (cfg.l, cfg.q_high)
+        assert path.read_bytes()[8:14] == bytes([1, 0xFF, 3, 2, 3, 15])
         np.testing.assert_allclose(
             loaded.high_vq.codewords, cb.high_vq.codewords
         )  # integers survive float32 exactly
@@ -221,15 +226,23 @@ class TestIo:
             loaded.low_sq, cb.low_sq.astype(np.float32)
         )
 
+    # header bytes: version 8, theta 9, q_high 10, l 11, q_low 12, q0 13
+    HEADER_CASES = {
+        "q_high 0": (10, 0), "l 0": (11, 0), "q0 0": (13, 0),
+        "l*q_high 64": (10, 32), "q_low 40": (12, 40), "q_low 61": (12, 61),
+        "q_low 62": (12, 62),
+    }
+
     @pytest.mark.parametrize("case", [
         "lengths all 0", "lengths all 1", "lengths all 70",
         "NaN grid point", "grid point off the midpoints",
+        "G2 block geometry", *HEADER_CASES,
     ])
     def test_hostile_container_refused(self, tmp_path, case):
         spec = pipeline.UpmgqSpec(theta=-1, q_high=3, l=2, q_low=2)
-        cb, cfg = seeded_codebooks(spec, seed=3), spec.config(15)
+        cb = seeded_codebooks(spec, seed=3)
         path = tmp_path / "cb.upmg"
-        ug.save_upmgq(cb, cfg, path)
+        ug.save_upmgq(cb, path, 15)
         ug.load_upmgq(path)  # the untouched file loads
         blob = bytearray(path.read_bytes())
         k = cb.high_vq.size
@@ -237,6 +250,17 @@ class TestIo:
                    "lengths all 70": 70}
         if case in lengths:
             blob[-k:] = bytes([lengths[case]]) * k
+        elif case in self.HEADER_CASES:
+            at, value = self.HEADER_CASES[case]
+            blob[at] = value
+        elif case == "G2 block geometry":
+            # a 2-word (l, q) = (1, 1) block, the grid and two valid code
+            # lengths, padded to the size the header declares
+            small = io.BytesIO()
+            save_codebook(Codebook(1, 1, [[0.0], [1.0]], [1, 1]), small)
+            grid = cb.low_sq.astype("<f4").tobytes()
+            head = blob[:14] + small.getvalue() + grid + b"\x01\x01"
+            blob = head + bytes(len(blob) - len(head))
         else:
             value = math.nan if case == "NaN grid point" else 0.3
             at = len(blob) - k - 4 * len(cb.low_sq)

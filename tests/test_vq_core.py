@@ -474,7 +474,7 @@ def test_batch_shape_refused(call, bad):
         lambda: VectorBatch(2, np.ones((2, 2)), VectorLayout.METHOD1),
         lambda: frontend.ScaleFactors(32, 8, np.ones(3)),
         lambda: upmgq.UpmgqIndices(
-            np.zeros(4, np.uint8), np.zeros(2, np.int64), np.zeros(4, np.int64), 4
+            np.zeros(4, np.uint8), np.zeros(2, np.int64), np.zeros(4, np.int64)
         ),
     ],
     ids=["HuffmanTable", "Codebook", "MsvqCodebook", "UpmgqCodebook",
@@ -672,3 +672,32 @@ class TestCodebookIo:
         p.write_bytes(p.read_bytes()[:-5])
         with pytest.raises(FormatError):
             load_codebook(p)
+
+    # header bytes: version 8, l_vq 9, q_vq 10, count 11..14; codewords at 15
+    @pytest.mark.parametrize("at, value", [
+        (9, b"\x00"),  # l_vq = 0
+        (9, b"\x08\x08"),  # l_vq * q_vq = 64
+        (15, np.float32(np.nan).tobytes()),  # a NaN codeword
+    ], ids=["l_vq 0", "l_vq*q_vq 64", "NaN codeword"])
+    def test_hostile_header_refused(self, tmp_path, at, value):
+        p = tmp_path / "h.vqcb"
+        save_codebook(_random_codebook(2, 2, seed=18), p)
+        blob = bytearray(p.read_bytes())
+        blob[at : at + len(value)] = value
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError):
+            load_codebook(p)
+
+    def test_file_size_checked_before_body(self, tmp_path):
+        # 2^24 declared codewords of l = 1: a 192 MiB body in a 15-byte file
+        p = tmp_path / "big.vqcb"
+        count = (1 << 24).to_bytes(4, "little")
+        p.write_bytes(vq_core.VQCB_MAGIC + bytes([1, 1, 24]) + count)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError):
+                load_codebook(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
