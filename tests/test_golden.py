@@ -84,6 +84,12 @@ GOLDEN = {
         "de0cad7940d16d542385550ccb3fc89153c5bf60663e60a816ecb9f7febef3a6",
         "ccf22eb8a776a98b989fd4d82687f64f4c5511cbecc88487c9a54f41350d37d0",
     ),
+    # an in-section G3 table over a one-symbol alphabet: zero-length codes
+    "upmgq q_low 0 g3 entropy": (
+        _uplink(UpmgqSpec(**{**UPMGQ, "q_low": 0, "g3_entropy": True}), True),
+        "89c42d3041dda04833b864fe6356a1e11ecbca7ea7d06d7bfb658c933b6620c4",
+        "ccf22eb8a776a98b989fd4d82687f64f4c5511cbecc88487c9a54f41350d37d0",
+    ),
     "raw ec": (
         _uplink(RawSpec(), True),
         "d1ccd8a607dd5c15a74358dbeb924a78838843784fd41fae22e6ab0ee37a1b09",
