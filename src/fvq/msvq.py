@@ -56,9 +56,11 @@ class MsvqCodebook:
     q2: int
 
     def __post_init__(self):
-        if len(self.stage2) != self.stage1.size:
+        want = [(self.l, self.q1)] + [(self.l, self.q2)] * self.stage1.size
+        if [(cb.l_vq, cb.q_vq) for cb in [self.stage1, *self.stage2]] != want:
             raise ContractViolationError(
-                "stage-2 codebook count must equal stage-1 codeword count"
+                "MSVQ needs a stage-1 (l, q1) codebook and one stage-2 (l, q2) "
+                "codebook per stage-1 codeword"
             )
 
     @property
@@ -200,10 +202,8 @@ def load_msvq(path) -> MsvqCodebook:
         stage1 = load_codebook(fh)
         if (stage1.l_vq, stage1.q_vq) != (l, q1):
             raise FormatError("stage-1 block geometry mismatch")
-        stage2 = []
-        for k in range(codebook_size(l, q1)):
-            sub = load_codebook(fh)
-            if (sub.l_vq, sub.q_vq) != (l, q2):
-                raise FormatError("stage-2 block geometry mismatch")
-            stage2.append(sub)
-    return MsvqCodebook(stage1, stage2, l, q1, q2)
+        stage2 = [load_codebook(fh) for _ in range(stage1.size)]
+    try:
+        return MsvqCodebook(stage1, stage2, l, q1, q2)
+    except ContractViolationError as exc:
+        raise FormatError(f"stage-2 blocks do not match the header: {exc}") from exc

@@ -53,6 +53,13 @@ block-scaled stream), `gain_stats` (the quantizer's gains in the CR
 accounting) and `save`/`load` (its VQCB, VQMS or UPMG file). VQ and MSVQ
 share `_IndexQuantizer`. Adding a quantizer is one spec class plus its
 `_QUANTIZER_KINDS` entry.
+
+Sections. One codec writes (`_section`) and reads (`_read_section`) every
+quantizer section, the raw samples and fixed-width scale factors. Its table
+is None for fixed `width`-bit codes, the codebook's shared Huffman table, or
+IN_SECTION for a table serialized ahead of the codes (UPMGQ's G3 under
+`g3_entropy`). A quantizer lists its streams as (section kind, code width,
+components per code, table); UPMGQ's signs (G1) are a 1-bit fixed stream.
 """
 
 import hashlib
@@ -122,40 +129,28 @@ def _require(codebooks, cls, kind: str):
 
 class _IndexQuantizer:
     """VQ and MSVQ: vectors of `l` components, searched stage by stage, one
-    index section per stage. A subclass gives `stages` (each stage's section
-    kind and fixed index width in bits), `search` (every stage's indices),
-    `reconstruct` (vectors from them) and `tables` (one Huffman table per
-    stage from the codebook's usage counts, used with entropy coding)."""
+    index section per stage. A subclass gives `streams` (per stage, as in
+    `_read_streams`; with entropy coding off the codebook is not read),
+    `search` (every stage's indices) and `reconstruct` (vectors from them)."""
 
     def __post_init__(self):
         # the CR accounting divides by the summed index width
-        if sum(w for _, w in self.stages) == 0:
+        if sum(w for _, w, _, _ in self.streams(None, False)) == 0:
             raise ContractViolationError(
                 f"{self.kind} quantizer has no index bits"
             )
 
-    def _tables(self, cb, use_ec):
-        return self.tables(cb) if use_ec else [None] * len(self.stages)
-
     def quantize(self, x, profile, cb, bits, counter):
         vecs = _vectors(x, profile, self.l)
-        use_ec = profile.entropy_coding
         indices = self.search(cb, vecs, counter)
-        for (kind, width), idx, table in zip(
-            self.stages, indices, self._tables(cb, use_ec)
-        ):
-            bits.sections.append(_index_section(kind, idx, table, width, use_ec))
+        _write_streams(bits, self.streams(cb, profile.entropy_coding), indices)
         bits.stats.n_vectors = len(vecs)
         bits.stats.stored_codewords = cb.stored_codewords
         if counter is not None:
             bits.stats.search_counters[self.kind] = counter
 
     def dequantize(self, bits, profile, cb, rate):
-        use_ec = profile.entropy_coding
-        indices = [
-            _decode_index_section(bits, kind, table, width, use_ec, self.l)
-            for (kind, width), table in zip(self.stages, self._tables(cb, use_ec))
-        ]
+        indices = _read_streams(bits, self.streams(cb, profile.entropy_coding))
         batch = VectorBatch(
             self.l, self.reconstruct(cb, *indices), profile.vector_method,
             permutation_seed=bits.perm_seed, original_count=2 * bits.m_dec,
@@ -163,8 +158,9 @@ class _IndexQuantizer:
         return devectorize(batch, rate)
 
     def gain_stats(self, stats, q0):
-        width = sum(w for _, w in self.stages)
-        idx_bits = sum(stats.section_bits[k] for k, _ in self.stages)
+        streams = self.streams(None, False)
+        width = sum(w for _, w, _, _ in streams)
+        idx_bits = sum(stats.section_bits[k] for k, _, _, _ in streams)
         stats.l_huff_emitted = idx_bits / max(stats.n_vectors, 1)
         cr_ec = width / stats.l_huff_emitted if stats.l_huff_emitted > 0 else 1.0
         stats.quantizer_gain = q0 * self.l / width * cr_ec  # CR_VQ * CR_EC
@@ -185,9 +181,9 @@ class VqSpec(_IndexQuantizer):
     def l(self):
         return self.l_vq
 
-    @property
-    def stages(self):
-        return [(SEC_VQ_IDX, self.l_vq * self.q_vq)]
+    def streams(self, cb, use_ec):
+        table = ec.table_from_counts(cb.usage_counts, cb.size) if use_ec else None
+        return [(SEC_VQ_IDX, self.l_vq * self.q_vq, self.l_vq, table)]
 
     def check(self, cb):
         _require(cb, Codebook, self.kind)
@@ -209,9 +205,6 @@ class VqSpec(_IndexQuantizer):
         log.info("final distortion %.6g after %d iterations",
                  meta.final_distortion, meta.iterations)
         return cb
-
-    def tables(self, cb):
-        return [ec.table_from_counts(cb.usage_counts, cb.size)]
 
     def search(self, cb, vecs, counter):
         return [vq_core.quantize_batch(cb, vecs, counter)]
@@ -238,9 +231,14 @@ class MsvqSpec(_IndexQuantizer):
     def scale_bits(self):
         return self.q1 + self.q2
 
-    @property
-    def stages(self):
-        return [(SEC_MSVQ_I1, self.q1 * self.l), (SEC_MSVQ_I2, self.q2 * self.l)]
+    def streams(self, cb, use_ec):
+        t1 = t2 = None
+        if use_ec:
+            pooled = np.sum([c.usage_counts for c in cb.stage2], axis=0)
+            t1 = ec.table_from_counts(cb.stage1.usage_counts, cb.stage1.size)
+            t2 = ec.table_from_counts(pooled, cb.stage2[0].size)
+        return [(SEC_MSVQ_I1, self.q1 * self.l, self.l, t1),
+                (SEC_MSVQ_I2, self.q2 * self.l, self.l, t2)]
 
     def check(self, cb):
         _require(cb, MsvqCodebook, self.kind)
@@ -255,13 +253,6 @@ class MsvqSpec(_IndexQuantizer):
         log.info("stage-1 distortion %.6g; %d stage-2 codebooks",
                  cb.stage1.training_meta.final_distortion, len(cb.stage2))
         return cb
-
-    def tables(self, cb):
-        pooled = np.sum([c.usage_counts for c in cb.stage2], axis=0)
-        return [
-            ec.table_from_counts(cb.stage1.usage_counts, cb.stage1.size),
-            ec.table_from_counts(pooled, cb.stage2[0].size),
-        ]
 
     def search(self, cb, vecs, counter):
         return quantize_msvq(cb, vecs, counter)
@@ -302,20 +293,22 @@ class UpmgqSpec(UpmgqConfig):
         log.info("G2 distortion %.6g", cb.high_vq.training_meta.final_distortion)
         return cb
 
+    def streams(self, cb, use_ec):
+        """G1 (signs), G2 and G3, listed like `_IndexQuantizer` streams."""
+        return [
+            (SEC_SIGN, 1, 1, None),
+            (SEC_G2, self.q_high * self.l, self.l,
+             cb.huffman_high if use_ec else None),
+            (SEC_G3, self.q_low, 1, IN_SECTION if self.g3_entropy else None),
+        ]
+
     def quantize(self, x, profile, cb, bits, counter):
         g2, g3 = (None, None) if counter is None else (
             SearchCounter(), SearchCounter()
         )
         ind = quantize_upmgq(cb, self, x, g2, g3)
-        n = len(ind.sign_negative)
-        bits.sections += [
-            Section(SEC_SIGN, n, n, pack_bit_array(ind.sign_negative)),
-            _index_section(
-                SEC_G2, ind.g2_indices, cb.huffman_high,
-                self.q_high * self.l, profile.entropy_coding,
-            ),
-            self._g3_section(ind.g3_codes),
-        ]
+        codes = ind.sign_negative, ind.g2_indices, ind.g3_codes
+        _write_streams(bits, self.streams(cb, profile.entropy_coding), codes)
         stats = bits.stats
         stats.n_vectors = len(ind.g2_indices)
         stats.stored_codewords = cb.high_vq.size + len(cb.low_sq)
@@ -324,38 +317,9 @@ class UpmgqSpec(UpmgqConfig):
             counter.add(g3.distance_evals, g3.items)
             stats.search_counters.update(upmgq_g2=g2, upmgq_g3=g3)
 
-    def _g3_section(self, codes):
-        if self.g3_entropy:
-            table = ec.build_huffman(ec.estimate_pmf(codes, 1 << self.q_low))
-            head = ec.serialize_table(table)
-            payload, bits = ec.encode(table, codes)
-            return Section(
-                SEC_G3, len(codes), len(head) * 8 + bits, head + payload
-            )
-        payload, bits = pack_fixed(codes, self.q_low)
-        return Section(SEC_G3, len(codes), bits, payload)
-
     def dequantize(self, bits, profile, cb, rate):
-        n = 2 * bits.m_dec
-        signs = unpack_bit_array(bits.section(SEC_SIGN, n).payload, n)
-        g2 = _decode_index_section(
-            bits, SEC_G2, cb.huffman_high, self.q_high * self.l,
-            profile.entropy_coding, self.l,
-        )
-        g3 = self._decode_g3(bits.section(SEC_G3, n), n)
-        ind = UpmgqIndices(signs.astype(np.uint8), g2, g3)
-        return dequantize_upmgq(cb, self, ind, rate)
-
-    def _decode_g3(self, sec, n: int) -> np.ndarray:
-        if self.g3_entropy:
-            table, consumed = ec.parse_table(sec.payload)
-            if table.alphabet_size != 1 << self.q_low:
-                raise MalformedBitstreamError(
-                    f"G3 table of {table.alphabet_size} symbols for "
-                    f"q_low = {self.q_low}"
-                )
-            return ec.decode(table, sec.payload[consumed:], n)
-        return unpack_fixed(sec.payload, self.q_low, n).astype(np.int64)
+        codes = _read_streams(bits, self.streams(cb, profile.entropy_coding))
+        return dequantize_upmgq(cb, self, UpmgqIndices(*codes), rate)
 
     def gain_stats(self, stats, q0):
         n_comp = max(stats.section_bits.get(SEC_SIGN, 0), 1)
@@ -396,8 +360,7 @@ class RawSpec:
         bits.raw_scale = (half - 1) / peak if peak > 0 else 1.0
         codes = np.round(comps * bits.raw_scale).astype(np.int64) + half
         codes = np.clip(codes, 0, 2 * half - 1)
-        payload, nbits = pack_fixed(codes, profile.q0)
-        bits.sections.append(Section(SEC_RAW, len(codes), nbits, payload))
+        bits.sections.append(_section(SEC_RAW, codes, profile.q0, None))
         bits.stats.n_vectors = len(codes)
 
     def dequantize(self, bits, profile, cb, rate):
@@ -406,10 +369,8 @@ class RawSpec:
                 f"raw-mode scale {bits.raw_scale} is not positive and finite"
             )
         m = bits.m_dec
-        sec = bits.section(SEC_RAW, 2 * m)
-        half = 1 << (profile.q0 - 1)
-        codes = unpack_fixed(sec.payload, profile.q0, sec.item_count)
-        comps = (codes.astype(np.float64) - half) / bits.raw_scale
+        codes = _read_section(bits, SEC_RAW, 2 * m, profile.q0, None)
+        comps = (codes - (1 << (profile.q0 - 1))) / bits.raw_scale
         return IQStream(comps[:m] + 1j * comps[m:], rate)
 
     def gain_stats(self, stats, q0):
@@ -425,6 +386,10 @@ class RawSpec:
 class BlockScalingSpec:
     n_bs: int = 32
     q_bs: int = 8
+
+    def __post_init__(self):
+        if self.n_bs < 1 or not 1 <= self.q_bs <= 64:
+            raise ContractViolationError("need n_bs >= 1 and q_bs in 1..64")
 
 
 _QUANTIZER_KINDS = {"vq": VqSpec, "msvq": MsvqSpec, "upmgq": UpmgqSpec,
@@ -470,23 +435,23 @@ class CompressionProfile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CompressionProfile":
+        """A profile from its JSON object; a field of the wrong type or shape,
+        or a missing or unknown key, is a contract violation."""
         d = dict(d)
-        if d.get("decimation"):
-            d["decimation"] = frontend.ResamplerSpec(**d["decimation"])
-        if d.get("block_scaling"):
-            d["block_scaling"] = BlockScalingSpec(**d["block_scaling"])
-        q = d.get("quantizer")
-        if isinstance(q, dict):
-            q = dict(q)
-            kind = q.pop("kind")
-            if kind not in _QUANTIZER_KINDS:
-                raise ContractViolationError(f"unknown quantizer {kind!r}")
-            d["quantizer"] = _QUANTIZER_KINDS[kind](**q)
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ContractViolationError(f"unknown profile fields {extra}")
-        return cls(**d)
+        try:
+            for name, spec in (("decimation", frontend.ResamplerSpec),
+                               ("block_scaling", BlockScalingSpec)):
+                if d.get(name) is not None:
+                    d[name] = spec(**d[name])
+            if "quantizer" in d:
+                q = dict(d["quantizer"])
+                kind = q.pop("kind", None)
+                if kind not in _QUANTIZER_KINDS:
+                    raise ContractViolationError(f"unknown quantizer {kind!r}")
+                d["quantizer"] = _QUANTIZER_KINDS[kind](**q)
+            return cls(**d)
+        except (TypeError, ValueError) as exc:
+            raise ContractViolationError(f"malformed profile: {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -622,22 +587,51 @@ class Bitstream:
         )
 
 
-def _index_section(kind, indices, table, fixed_width, use_ec):
-    if use_ec:
-        payload, bits = ec.encode(table, indices)
+IN_SECTION = "in-section"  # a `table` the section carries ahead of its codes
+
+
+def _section(kind, symbols, width, table) -> Section:
+    """Section `kind` of `symbols` below 2^width: fixed `width`-bit codes for
+    `table` None, else Huffman codes of `table` (the codebook's), or for
+    IN_SECTION of a table built from the symbols and serialized first."""
+    head = b""
+    if table is None:
+        payload, nbits = pack_fixed(symbols, width)
     else:
-        payload, bits = pack_fixed(indices, fixed_width)
-    return Section(kind, len(indices), bits, payload)
+        if table is IN_SECTION:
+            table = ec.build_huffman(ec.estimate_pmf(symbols, 1 << width))
+            head = ec.serialize_table(table)
+        payload, nbits = ec.encode(table, symbols)
+    return Section(kind, len(symbols), 8 * len(head) + nbits, head + payload)
 
 
-def _decode_index_section(bits, kind, table, fixed_width, use_ec, l):
-    """Indices of section `kind`: one per l-component vector of the header's
-    2 M_dec components."""
-    n = -(-2 * bits.m_dec // l)
-    sec = bits.section(kind, n)
-    if use_ec:
-        return ec.decode(table, sec.payload, n)
-    return unpack_fixed(sec.payload, fixed_width, n).astype(np.int64)
+def _read_section(bits, kind, count, width, table) -> np.ndarray:
+    """The int64 symbols `_section` wrote; the section must hold `count`, and
+    an in-section table must cover 2^width symbols."""
+    payload = bits.section(kind, count).payload
+    if table is None:
+        return unpack_fixed(payload, width, count).astype(np.int64)
+    if table is IN_SECTION:
+        table, consumed = ec.parse_table(payload)
+        if table.alphabet_size != 1 << width:
+            raise MalformedBitstreamError(
+                f"section kind {kind} has a table of {table.alphabet_size} "
+                f"symbols for {width}-bit codes"
+            )
+        payload = payload[consumed:]
+    return ec.decode(table, payload, count)
+
+
+def _write_streams(bits, streams, symbols):
+    for (kind, width, _, table), s in zip(streams, symbols):
+        bits.sections.append(_section(kind, s, width, table))
+
+
+def _read_streams(bits, streams):
+    """Each (kind, width, components per code, table) stream's symbols: one
+    per code over the header's 2 M_dec components."""
+    return [_read_section(bits, kind, -(-2 * bits.m_dec // per), width, table)
+            for kind, width, per, table in streams]
 
 
 class _CpRemoval:
@@ -711,7 +705,7 @@ class _BlockScaling:
             return x
         f, q_bs = factors.factors, self.spec.q_bs
         if not self.use_ec or f.size == 0:
-            payload, nbits = pack_fixed(f, q_bs)
+            sec = _section(SEC_SCALE, f, q_bs, None)
         else:
             lo, hi = int(f.min()), int(f.max())
             offsets = f.astype(np.int64) - lo
@@ -721,19 +715,20 @@ class _BlockScaling:
                 pack_fixed(table.code_lengths, 8),
                 ec.encode(table, offsets),
             ])
-        bits.sections.append(Section(SEC_SCALE, len(f), nbits, payload))
-        bits.stats.side_info_bits = nbits
+            sec = Section(SEC_SCALE, len(f), nbits, payload)
+        bits.sections.append(sec)
+        bits.stats.side_info_bits = sec.bit_length
         return x
 
     def inverse(self, x, m, bits):
         """Any inconsistency in the factor section is a malformed stream."""
         q_bs, n_blocks = self.spec.q_bs, -(-m // self.spec.n_bs)
-        sec = bits.section(SEC_SCALE, n_blocks)
         if not self.use_ec or n_blocks == 0:
-            f = unpack_fixed(sec.payload, q_bs, n_blocks)
-            if f.size and int(f.min()) < 1:
+            f = _read_section(bits, SEC_SCALE, n_blocks, q_bs, None)
+            if (f == 0).any():
                 raise MalformedBitstreamError("zero block-scale factor")
         else:
+            sec = bits.section(SEC_SCALE, n_blocks)
             flat = unpack_bit_array(sec.payload, sec.bit_length)
 
             def read(start, width, count):

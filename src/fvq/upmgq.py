@@ -9,9 +9,11 @@ level theta into three groups:
                      integers, so reconstructions stay on the expansion
                      lattice) and Huffman-coded;
   G3  low part       |s| - high in [0, 2^theta), uniform scalar quantization
-                     with midpoint reconstruction; entropy coding over G3 is
-                     off by default since low levels are near Bernoulli(0.5),
-                     but can be enabled for completeness.
+                     with midpoint reconstruction, coded by formula:
+                     ceil(low * 2^(q_low - theta)) - 1, clipped to the grid,
+                     so a low on a cell edge takes the lower code; entropy
+                     coding over G3 is off by default since low levels are
+                     near Bernoulli(0.5), but can be enabled for completeness.
 
 The expansion identity sign * (high + low) = s holds exactly for every finite
 float: high truncates |s| at bit position theta, so both parts and their sum
@@ -196,9 +198,10 @@ def quantize_upmgq(
     neg, high, low = _expand_components(comps, cfg.theta)
     batch = _high_batch(high, cfg.theta, cfg.l)
     g2 = _frozen_nearest(batch.vectors, cb.high_vq.codewords)
-    # G3 takes the nearest grid point, ties to the lower code; the counter
-    # adds the closed-form count like every other search (SearchCounter).
-    g3 = np.argmin(np.abs(low[:, None] - cb.low_sq[None, :]), axis=1)
+    # G3: the nearest midpoint, ties (cell edges) to the lower code; the
+    # counter adds the closed-form count like every other search.
+    g3 = np.ceil(low * math.ldexp(1.0, cb.q_low - cb.theta)).astype(np.int64)
+    g3 = np.clip(g3 - 1, 0, (1 << cb.q_low) - 1)
     if g2_counter is not None:
         g2_counter.add(cb.high_vq.size * len(batch.vectors), len(batch.vectors))
     if g3_counter is not None:

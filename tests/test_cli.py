@@ -206,6 +206,18 @@ class TestTrainCompressDecompress:
                   "--out", tmp_path / "c.cpz")
         assert rc == 4
 
+    @pytest.mark.parametrize("override", [
+        "quantizer.nonsense=1", "quantizer=\"vq\"", "vector_method=\"nope\"",
+        "block_scaling.n_bs=0",
+    ])
+    def test_malformed_profile_exit_code_4(self, profile_path, tmp_path,
+                                           override):
+        corpus = tmp_path / "c.iqf"
+        assert _run("gen", "--profile", profile_path, "--out", corpus) == 0
+        rc = _run("compress", "--profile", profile_path, "--set", override,
+                  "--in", corpus, "--out", tmp_path / "c.cpz")
+        assert rc == 4
+
     def test_vq_without_index_bits_exit_code_4(self, profile_path, tmp_path):
         corpus, cb = tmp_path / "c.iqf", tmp_path / "cb.vqcb"
         fvq.save_codebook(fvq.Codebook(2, 0, np.zeros((1, 2))), cb)

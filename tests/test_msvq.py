@@ -153,6 +153,28 @@ class TestQuantize:
             ms.dequantize_msvq(cb, [0], [99])
 
 
+@pytest.mark.parametrize("case", [
+    "stage-2 sizes mixed", "stage-1 l", "stage-2 l", "too few stage-2",
+])
+def test_mixed_stage_geometry_refused(case):
+    rng = np.random.default_rng(21)
+
+    def cb(l, q):
+        return Codebook(l, q, rng.normal(size=(2 ** (l * q), l)))
+
+    stage1, stage2 = cb(2, 1), [cb(2, 1) for _ in range(4)]
+    if case == "stage-2 sizes mixed":
+        stage2[2] = cb(2, 2)  # 16 words among 4-word codebooks
+    elif case == "stage-1 l":
+        stage1 = cb(1, 2)  # 4 words, but of one component
+    elif case == "stage-2 l":
+        stage2[0] = cb(1, 2)
+    else:
+        stage2 = stage2[:3]
+    with pytest.raises(ContractViolationError, match="MSVQ needs"):
+        ms.MsvqCodebook(stage1, stage2, l=2, q1=1, q2=1)
+
+
 def _per_cell_dequantize(cb, i1, i2):
     """Reference: each stage-1 cell's stage-2 codebook indexed on its own."""
     out = np.empty((len(i1), cb.l))
@@ -204,10 +226,11 @@ class TestIo:
     def test_stage_2_blocks_must_have_q2_geometry(self, tmp_path):
         # a q2 = 0 header over 4-codeword stage-2 blocks
         rng = np.random.default_rng(22)
-        stage1 = Codebook(2, 1, rng.normal(size=(4, 2)))
-        stage2 = [Codebook(2, 1, rng.normal(size=(4, 2))) for _ in range(4)]
         path = tmp_path / "cb.vqms"
-        ms.save_msvq(ms.MsvqCodebook(stage1, stage2, 2, 1, 0), path)
+        with open(path, "wb") as fh:
+            fh.write(ms.VQMS_MAGIC + bytes([1, 1, 0, 2]))
+            for _ in range(5):
+                save_codebook(Codebook(2, 1, rng.normal(size=(4, 2))), fh)
         with pytest.raises(FormatError, match="stage-2"):
             ms.load_msvq(path)
 

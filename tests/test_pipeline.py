@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -40,7 +41,7 @@ class TestProfile:
             quantizer=MsvqSpec(3, 3, 2),
         )
         back = CompressionProfile.from_dict(
-            __import__("json").loads(prof.to_json())
+            json.loads(prof.to_json())
         )
         assert back == prof
         assert back.digest() == prof.digest()
@@ -71,6 +72,28 @@ class TestProfile:
             CompressionProfile.from_dict(
                 {"quantizer": {"kind": "upmgq", **geometry}}
             )
+
+    @pytest.mark.parametrize("profile", [
+        {"quantizer": {"l_vq": 2, "q_vq": 4}},
+        {"quantizer": {"kind": "vq", "l_vq": 2, "nonsense": 1}},
+        {"decimation": {"up_factor": 5, "down_factor": 8, "nonsense": 1}},
+        {"decimation": {"up_factor": 5}},
+        {"block_scaling": {"n_bs": 32, "nonsense": 1}},
+        {"block_scaling": "yes"},
+        {"quantizer": "vq"},
+        {"vector_method": "nope"},
+        {"block_scaling": {"n_bs": 0}},
+        {"block_scaling": {"q_bs": 0}},
+        {"block_scaling": {"q_bs": 65}},
+    ], ids=lambda d: json.dumps(d))
+    def test_malformed_profile_refused(self, profile):
+        with pytest.raises(ContractViolationError):
+            CompressionProfile.from_dict(profile)
+
+    def test_widest_scale_factor_allowed(self):
+        assert CompressionProfile.from_dict(
+            {"block_scaling": {"q_bs": 64}}
+        ).block_scaling == BlockScalingSpec(32, 64)
 
     def test_fractional_decimated_symbol_refused(self):
         # CP-removed symbols are resampled one by one: 1020 * 5/8 = 637.5
@@ -534,7 +557,7 @@ class TestHostileG3Table:
         head = ec.serialize_table(table)
         payload, nbits = ec.encode(table, codes)
         sec.payload, sec.bit_length = head + payload, 8 * len(head) + nbits
-        with pytest.raises(MalformedBitstreamError, match="G3 table"):
+        with pytest.raises(MalformedBitstreamError, match="table of 8 symbols"):
             pipeline.decompress(frame.to_bytes(), prof, cb)
 
 
@@ -546,6 +569,36 @@ class TestFixedWidth:
     def test_width_zero_refuses_a_non_zero_value(self):
         with pytest.raises(ContractViolationError, match="does not fit"):
             pack_fixed([0, 1], 0)
+
+
+class TestSectionCodec:
+    """`_section` and `_read_section` over the three table modes."""
+
+    @staticmethod
+    def _frame(mode, width, symbols):
+        table = {
+            "fixed": None, "in-section": pipeline.IN_SECTION,
+            "shared": ec.table_from_counts(np.arange(1 << width), 1 << width),
+        }[mode]
+        sec = pipeline._section(pipeline.SEC_G3, symbols, width, table)
+        frame = Bitstream(0, 0, 0, 1, 0, 0.0, [sec])
+        return Bitstream.from_bytes(frame.to_bytes()), table
+
+    @pytest.mark.parametrize("mode", ["fixed", "shared", "in-section"])
+    @pytest.mark.parametrize("width", [0, 1, 6])
+    def test_round_trip(self, mode, width):
+        symbols = np.random.default_rng(width).integers(0, 1 << width, 301)
+        frame, table = self._frame(mode, width, symbols)
+        out = pipeline._read_section(frame, pipeline.SEC_G3, 301, width, table)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, symbols)
+        with pytest.raises(MalformedBitstreamError, match="expected"):
+            pipeline._read_section(frame, pipeline.SEC_G3, 300, width, table)
+
+    def test_one_bit_fixed_section_packs_as_bit_array(self):
+        signs = np.random.default_rng(3).integers(0, 2, 301)
+        sec = pipeline._section(pipeline.SEC_SIGN, signs, 1, None)
+        assert (sec.payload, sec.bit_length) == (pack_bit_array(signs), 301)
 
 
 class TestAccounting:

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,50 @@ class TestQuantize:
         n_vec = math.ceil(2 * len(s) / cfg.l)
         n_comp = 2 * len(s)
         assert counter.distance_evals == 64 * n_vec + 8 * n_comp
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        theta=st.integers(-3, 2),
+        q_low=st.sampled_from([0, 1, 2, 3, 5, 8]),
+        edges=st.lists(
+            st.tuples(st.integers(0, 2**10), st.sampled_from([-1, 0, 1])),
+            max_size=16,
+        ),
+        draws=st.lists(st.floats(-16.0, 16.0), max_size=16),
+    )
+    def test_g3_codes_are_nearest_midpoints(self, theta, q_low, edges, draws):
+        # cell edges k * step and the floats either side of each, the draws,
+        # zero and the smallest subnormal against a brute-force argmin that
+        # gives ties the lower code
+        step = math.ldexp(1.0, theta - q_low)
+        comps = [float(np.nextafter(k * step, d * math.inf)) if d else k * step
+                 for k, d in edges] + draws + [0.0, 5e-324]
+        comps = np.array(comps + [0.0] * (len(comps) % 2))
+        cfg = _cfg(theta, 1, 1, q_low)
+        g2 = Codebook(1, 1, [[0.0], [1.0]], [1, 1])
+        cb = ug.UpmgqCodebook(g2, ug._low_grid(cfg),
+                              fvq.build_huffman([0.5, 0.5]), theta, q_low)
+        m = len(comps) // 2
+        ind = ug.quantize_upmgq(cb, cfg, IQStream(comps[:m] + 1j * comps[m:]))
+        low = ug._expand_components(comps, theta)[2]
+        ref = np.argmin(np.abs(low[:, None] - cb.low_sq[None, :]), axis=1)
+        np.testing.assert_array_equal(ind.g3_codes, ref)
+
+    def test_g3_memory_does_not_grow_with_the_grid(self):
+        # the G3 codes cost O(components) memory, not O(components * 2^q_low)
+        s = _scaled_stream(6144, seed=19)
+        peaks = []
+        for q_low in (3, 8):
+            cfg = _cfg(-1, 2, 2, q_low)
+            cb = ug.train_upmgq(s, cfg, seed=20)
+            tracemalloc.start()
+            try:
+                ug.quantize_upmgq(cb, cfg, s)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**20
 
 
 class TestGain:
