@@ -591,9 +591,10 @@ IN_SECTION = "in-section"  # a `table` the section carries ahead of its codes
 
 
 def _section(kind, symbols, width, table) -> Section:
-    """Section `kind` of `symbols` below 2^width: fixed `width`-bit codes for
-    `table` None, else Huffman codes of `table` (the codebook's), or for
-    IN_SECTION of a table built from the symbols and serialized first."""
+    """Section `kind` holding `symbols`, each below 2^width, as fixed
+    `width`-bit codes (`table` None), as codes of a shared Huffman `table`,
+    or (IN_SECTION) under a table built from their counts and serialized
+    ahead of the codes."""
     head = b""
     if table is None:
         payload, nbits = pack_fixed(symbols, width)

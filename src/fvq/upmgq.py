@@ -92,7 +92,7 @@ class UpmgqIndices:
     """Quantizer output: per-component sign bits and G3 codes (component
     order is all I, then all Q), plus per-vector G2 indices."""
 
-    sign_negative: np.ndarray  # (2M,) uint8
+    sign_negative: np.ndarray  # (2M,) 0/1
     g2_indices: np.ndarray  # (ceil(2M / l),) int64
     g3_codes: np.ndarray  # (2M,) int64
 

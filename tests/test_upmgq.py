@@ -192,7 +192,6 @@ class TestQuantize:
         n_comp = 2 * len(s)
         assert counter.distance_evals == 64 * n_vec + 8 * n_comp
 
-
     @settings(max_examples=200, deadline=None)
     @given(
         theta=st.integers(-3, 2),
