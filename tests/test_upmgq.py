@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import tracemalloc
@@ -247,6 +248,31 @@ class TestGain:
         cfg = _cfg(0, 4, 2, 0)
         so, cs = ug.upmgq_complexity(cfg)
         assert so == cs == 2 ** (4 * 2) + 1
+
+
+# Trained UPMG files: (theta, q_high, l, q_low), training corpus (samples,
+# sigma), seed, trainer, trials and the SHA-256 of the file. A change to how
+# the G2 table or the G3 grid is kept must write the same bytes.
+PINNED = {
+    "theta -1, l 2, q_low 3": ((-1, 5, 2, 3), (9000, 6.0), 21, "modified", 2,
+                               "c4ea9e8454b4a24dbe4db57dfdad79db6c82a231d72e2f91389aacfa5fdfcf85"),
+    "theta 0, l 1, q_low 0": ((0, 4, 1, 0), (3000, 4.0), 22, "classical", 1,
+                              "a008168e911ea9c5b44bbbe6407bbe57d559dbffc304f41a0cab0c334690af41"),
+    "theta 0, l 3, q_low 2": ((0, 2, 3, 2), (6000, 2.0), 23, "classical", 2,
+                              "1e0daf2a6db3a615efa54725c12095e4bf3cb46a85777069843e1bdcca4a3a9d"),
+    "theta -1, l 1, q_low 4": ((-1, 3, 1, 4), (3000, 2.0), 24, "modified", 1,
+                               "e0516affc0d35c73a6c7ab6f2b88b022a417104565a52e1de24f735d4960ed8b"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_trained_bytes_pinned(name, tmp_path):
+    geometry, (n, sigma), seed, trainer, trials, sha = PINNED[name]
+    cb = ug.train_upmgq(_scaled_stream(n, sigma, seed), _cfg(*geometry),
+                        trainer, seed=seed, trials=trials)
+    path = tmp_path / "cb.upmg"
+    ug.save_upmgq(cb, path, 15)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
 
 class TestIo:
