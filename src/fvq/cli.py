@@ -156,15 +156,15 @@ def cmd_gen(args) -> int:
 
 
 def _trainer_opts(config):
+    """`train_for_profile` keywords for only the keys "training" sets."""
     block = dict(config.get("training", {}))
-    trainer = block.get("trainer", vq_core.MODIFIED)
-    trials = int(block.get("trials", 2))
-    seed = int(block.get("seed", 0))
-    stop = vq_core.LloydStop(
-        int(block.get("max_iterations", 200)),
-        float(block.get("rel_improvement_eps", 1e-4)),
-    )
-    return trainer, trials, stop, seed
+    casts = {"trainer": str, "trials": int, "seed": int}
+    opts = {k: cast(block[k]) for k, cast in casts.items() if k in block}
+    casts = {"max_iterations": int, "rel_improvement_eps": float}
+    stop = {k: cast(block[k]) for k, cast in casts.items() if k in block}
+    if stop:
+        opts["stop"] = vq_core.LloydStop(**stop)
+    return opts
 
 
 def cmd_train(args) -> int:
@@ -172,7 +172,7 @@ def cmd_train(args) -> int:
     profile = _profile_from(config)
     stream = read_iqf1(getattr(args, "in"))
     artifact = pipeline.train_for_profile(
-        stream, profile, *_trainer_opts(config)
+        stream, profile, **_trainer_opts(config)
     )
     profile.quantizer.save(artifact, args.out, profile.q0)
     _write_sidecar(args.out, "train", config)
@@ -234,7 +234,7 @@ def cmd_eval(args) -> int:
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
         trained = pool.map(
             lambda lab: pipeline.train_for_profile(
-                train_corpora[lab], profile, *opts
+                train_corpora[lab], profile, **opts
             ),
             labels,
         )
@@ -282,7 +282,7 @@ def cmd_sweep(args) -> int:
                 **config, **point.get("profile", {}),
                 "quantizer": point["quantizer"],
             })
-            codebook = pipeline.train_for_profile(train_corpus, prof, *opts)
+            codebook = pipeline.train_for_profile(train_corpus, prof, **opts)
             counter = vq_core.SearchCounter()
             report = pipeline.evaluate_chain(
                 eval_corpus, prof, codebook, counter

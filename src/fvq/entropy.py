@@ -175,17 +175,17 @@ def table_from_counts(counts, alphabet_size: int) -> HuffmanTable:
 
     Memoised on the counts' content and the alphabet size: equal counts give
     the same table object, with read-only arrays, and changed counts (even
-    an array changed in place) give a new one.
+    an array changed in place) give a new one. Counts are float64 (exact to
+    2^53), so any uint64 counts, a hostile file's too, give a table.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    flat = np.zeros(alphabet_size, dtype=np.int64)
+    flat = np.zeros(alphabet_size)
     flat[: len(counts)] = counts
     return _table_from_flat_counts(flat.tobytes())
 
 
 @functools.lru_cache(maxsize=8)
 def _table_from_flat_counts(flat: bytes) -> HuffmanTable:
-    counts = np.frombuffer(flat, dtype=np.int64)
+    counts = np.frombuffer(flat)
     table = build_huffman((counts + 1.0) / (counts.sum() + len(counts)))
     table.code_lengths.setflags(write=False)
     table.codes.setflags(write=False)

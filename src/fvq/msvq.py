@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import entropy, vq_core
 from .errors import ContractViolationError, FormatError
 from .vq_core import (
     CLASSICAL,
@@ -28,14 +29,13 @@ from .vq_core import (
     LloydStop,
     SearchCounter,
     _as_vectors,
-    _frozen_nearest,
     _nearest,
-    check_trainer,
     codebook_size,
     load_codebook,
+    quantize_batch,
     save_codebook,
-    train_classical,
-    train_modified,
+    train_classical,  # noqa: F401 (patched by bench/tracing.py)
+    train_modified,  # noqa: F401
 )
 
 log = logging.getLogger(__name__)
@@ -66,6 +66,12 @@ class MsvqCodebook:
     @property
     def stored_codewords(self) -> int:
         return self.stage1.size + sum(cb.size for cb in self.stage2)
+
+    @property
+    def stage2_table(self) -> entropy.HuffmanTable:
+        """Stage-2 table shared by every cell, from the summed usage counts."""
+        pooled = np.sum([cb.usage_counts for cb in self.stage2], axis=0)
+        return entropy.table_from_counts(pooled, self.stage2[0].size)
 
 
 def msvq_complexity(q1: int, q2: int, l: int) -> tuple[int, int]:
@@ -115,10 +121,9 @@ def train_msvq(
     warning is logged). With q2 = 0 each stage-2 codebook is its anchor
     alone, so MSVQ degenerates to plain VQ at q1 exactly.
     """
-    check_trainer(trainer)
+    train = vq_core.trainer(trainer)
     vecs = _as_vectors(vectors)
     l = vecs.shape[1]
-    train = train_classical if trainer == CLASSICAL else train_modified
     stage1 = train(vecs, q1, trials, stop, seed)
     idx1 = _nearest(vecs, stage1.codewords)
     size2 = codebook_size(l, q2)
@@ -148,13 +153,11 @@ def quantize_msvq(
     cb: MsvqCodebook, vectors, counter: SearchCounter = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(stage-1 indices, stage-2 indices) for a batch of vectors. Stage 1
-    is one codebook searched whole (`_frozen_nearest`). A stage-2 codebook
+    is one codebook searched whole (`quantize_batch`). A stage-2 codebook
     sees only its cell's vectors (`_cells`), and with up to 2^(l*q1) of them
     one memoised grid each would not stay cached, so they keep `_nearest`."""
     vecs = _as_vectors(vectors)
-    if vecs.shape[1] != cb.l:
-        raise ContractViolationError("vector length != MSVQ vector length")
-    i1 = _frozen_nearest(vecs, cb.stage1.codewords)
+    i1 = quantize_batch(cb.stage1, vecs)  # checks the vector length
     i2 = np.empty(len(vecs), dtype=np.int64)
     evals = cb.stage1.size * len(vecs)
     for sub, rows in zip(cb.stage2, _cells(i1, cb.stage1.size)):

@@ -56,10 +56,10 @@ share `_IndexQuantizer`. Adding a quantizer is one spec class plus its
 
 Sections. One codec writes (`_section`) and reads (`_read_section`) every
 quantizer section, the raw samples and fixed-width scale factors. Its table
-is None for fixed `width`-bit codes, the codebook's shared Huffman table, or
-IN_SECTION for a table serialized ahead of the codes (UPMGQ's G3 under
-`g3_entropy`). A quantizer lists its streams as (section kind, code width,
-components per code, table); UPMGQ's signs (G1) are a 1-bit fixed stream.
+is None for fixed `width`-bit codes, a codebook's `table`, or IN_SECTION
+for a table serialized ahead of the codes (UPMGQ's G3 under `g3_entropy`).
+A quantizer lists its streams as (section kind, code width, components per
+code, table); UPMGQ's signs (G1) are a 1-bit fixed stream.
 """
 
 import hashlib
@@ -182,7 +182,7 @@ class VqSpec(_IndexQuantizer):
         return self.l_vq
 
     def streams(self, cb, use_ec):
-        table = ec.table_from_counts(cb.usage_counts, cb.size) if use_ec else None
+        table = cb.table if use_ec else None
         return [(SEC_VQ_IDX, self.l_vq * self.q_vq, self.l_vq, table)]
 
     def check(self, cb):
@@ -194,9 +194,7 @@ class VqSpec(_IndexQuantizer):
             )
 
     def train(self, x, profile, trainer, trials, stop, seed):
-        vq_core.check_trainer(trainer)
-        train = (vq_core.train_classical if trainer == vq_core.CLASSICAL
-                 else vq_core.train_modified)
+        train = vq_core.trainer(trainer)
         cb = train(_vectors(x, profile, self.l), self.q_vq, trials, stop, seed)
         meta = cb.training_meta
         for t, d in enumerate(meta.trial_distortions):
@@ -232,11 +230,7 @@ class MsvqSpec(_IndexQuantizer):
         return self.q1 + self.q2
 
     def streams(self, cb, use_ec):
-        t1 = t2 = None
-        if use_ec:
-            pooled = np.sum([c.usage_counts for c in cb.stage2], axis=0)
-            t1 = ec.table_from_counts(cb.stage1.usage_counts, cb.stage1.size)
-            t2 = ec.table_from_counts(pooled, cb.stage2[0].size)
+        t1, t2 = (cb.stage1.table, cb.stage2_table) if use_ec else (None, None)
         return [(SEC_MSVQ_I1, self.q1 * self.l, self.l, t1),
                 (SEC_MSVQ_I2, self.q2 * self.l, self.l, t2)]
 
@@ -283,10 +277,9 @@ class UpmgqSpec(UpmgqConfig):
 
     def check(self, cb):
         _require(cb, UpmgqCodebook, self.kind)
-        if cb.theta != self.theta or cb.q_low != self.q_low:
+        got = (cb.theta, cb.high_vq.q_vq, cb.high_vq.l_vq, cb.q_low)
+        if got != (self.theta, self.q_high, self.l, self.q_low):
             raise ContractViolationError("UPMGQ geometry mismatch")
-        if cb.high_vq.l_vq != self.l or cb.high_vq.q_vq != self.q_high:
-            raise ContractViolationError("UPMGQ G2 geometry mismatch")
 
     def train(self, x, profile, trainer, trials, stop, seed):
         cb = upmgq.train_upmgq(x, self, trainer, stop, seed, trials)
@@ -298,7 +291,7 @@ class UpmgqSpec(UpmgqConfig):
         return [
             (SEC_SIGN, 1, 1, None),
             (SEC_G2, self.q_high * self.l, self.l,
-             cb.huffman_high if use_ec else None),
+             cb.high_vq.table if use_ec else None),
             (SEC_G3, self.q_low, 1, IN_SECTION if self.g3_entropy else None),
         ]
 
@@ -311,7 +304,7 @@ class UpmgqSpec(UpmgqConfig):
         _write_streams(bits, self.streams(cb, profile.entropy_coding), codes)
         stats = bits.stats
         stats.n_vectors = len(ind.g2_indices)
-        stats.stored_codewords = cb.high_vq.size + len(cb.low_sq)
+        stats.stored_codewords = cb.high_vq.size + (1 << cb.q_low)
         if counter is not None:
             counter.add(g2.distance_evals, g2.items)
             counter.add(g3.distance_evals, g3.items)
@@ -369,7 +362,7 @@ class RawSpec:
                 f"raw-mode scale {bits.raw_scale} is not positive and finite"
             )
         m = bits.m_dec
-        codes = _read_section(bits, SEC_RAW, 2 * m, profile.q0, None)
+        (codes,) = _read_streams(bits, [(SEC_RAW, profile.q0, 1, None)])
         comps = (codes - (1 << (profile.q0 - 1))) / bits.raw_scale
         return IQStream(comps[:m] + 1j * comps[m:], rate)
 
@@ -630,9 +623,15 @@ def _write_streams(bits, streams, symbols):
 
 def _read_streams(bits, streams):
     """Each (kind, width, components per code, table) stream's symbols: one
-    per code over the header's 2 M_dec components."""
-    return [_read_section(bits, kind, -(-2 * bits.m_dec // per), width, table)
-            for kind, width, per, table in streams]
+    per code over the header's 2 M_dec components. A code wider than 0 bits
+    takes at least one, so no header count sizes an allocation unchecked."""
+    counts = [-(-2 * bits.m_dec // per) for _, _, per, _ in streams]
+    for (kind, width, _, _), count in zip(streams, counts):
+        if width and bits.section(kind).bit_length < count:
+            raise MalformedBitstreamError(f"header M_dec {bits.m_dec} implies "
+                                          f"more codes than section {kind} has bits")
+    return [_read_section(bits, kind, count, width, table)
+            for (kind, width, _, table), count in zip(streams, counts)]
 
 
 class _CpRemoval:
@@ -834,13 +833,10 @@ def _sized(x: IQStream, m: int) -> IQStream:
     return x
 
 
-def decompress(
-    bits, profile: CompressionProfile, codebooks=None
-) -> IQStream:
-    """Inverse chain; output has the original sample count and rate."""
+def decompress(data: bytes, profile: CompressionProfile, codebooks=None) -> IQStream:
+    """Inverse chain from CPZ1 bytes; output has the original count and rate."""
     profile.quantizer.check(codebooks)
-    if isinstance(bits, (bytes, bytearray)):
-        bits = Bitstream.from_bytes(bytes(bits))
+    bits = Bitstream.from_bytes(bytes(data))
     if bits.profile_digest != profile.digest():
         raise DigestMismatchError(
             "bitstream was produced under a different profile"
@@ -885,7 +881,7 @@ def evaluate_chain(
     """Compress + decompress one stream and measure EVM/CR (and SO/CS when a
     counter is supplied)."""
     bits = compress(stream, profile, codebooks, counter)
-    out = decompress(bits, profile, codebooks)
+    out = decompress(bits.to_bytes(), profile, codebooks)
     stats = bits.stats
     td = evm_td(stream, out)
     step = profile.l_sym + profile.l_cp

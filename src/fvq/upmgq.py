@@ -20,9 +20,11 @@ float: high truncates |s| at bit position theta, so both parts and their sum
 are exactly representable.
 
 `UpmgqConfig` (theta, q_high, l, q_low) is the one geometry type, which the
-pipeline's `UpmgqSpec` extends. Quantization expands a frame once. The UPMG
-container takes its geometry from the codebook, and loading checks the header
-against the file size before reading the body.
+pipeline's `UpmgqSpec` extends. G2 is a plain `vq_core.Codebook` over the
+high parts' rows of l, coded under its `table`; the G3 grid follows from
+theta and q_low. Quantization expands a frame once. Loading a UPMG container
+checks the header against the file size before reading the body, and the
+stored grid and G2 code lengths against the derived ones.
 """
 
 import math
@@ -32,24 +34,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import vq_core
 from .errors import ContractViolationError, FormatError
-from .entropy import HuffmanTable, build_huffman, estimate_pmf, table_from_lengths
 from .iqstream import IQStream
-from .vectorizer import VectorBatch, VectorLayout, devectorize, vectorize
 from .vq_core import (
     CLASSICAL,
     Codebook,
     LloydStop,
     SearchCounter,
-    _frozen_nearest,
     _nearest,
-    check_trainer,
     codebook_size,
+    dequantize_batch,
     load_codebook,
+    quantize_batch,
     save_codebook,
-    train_classical,
-    train_modified,
+    train_classical,  # noqa: F401 (patched by bench/tracing.py)
+    train_modified,  # noqa: F401
 )
+from .entropy import build_huffman, estimate_pmf  # noqa: F401 (bench/tracing.py)
+from .vectorizer import devectorize, vectorize  # noqa: F401 (bench/tracing.py)
 
 UPMG_MAGIC = b"UPMG\x00\x00\x00\x00"
 _UPMG_VERSION = 1
@@ -74,17 +77,21 @@ class UpmgqConfig:
 
 @dataclass(eq=False)
 class UpmgqCodebook:
-    """G2 codebook, G3 grid and G2 Huffman table; compared by identity, like
-    `Codebook`."""
+    """G2 codebook and G3 geometry; compared by identity, like `Codebook`."""
 
     high_vq: Codebook  # over high parts divided by 2^theta (integer entries)
-    low_sq: np.ndarray  # 2^q_low midpoints strictly inside [0, 2^theta)
-    huffman_high: HuffmanTable
     theta: int = 0
     q_low: int = 0
 
-    def __post_init__(self):
-        self.low_sq = np.asarray(self.low_sq, dtype=np.float64)
+    @property
+    def low_sq(self) -> np.ndarray:
+        """The G3 grid: 2^q_low midpoints strictly inside [0, 2^theta)."""
+        return _midpoints(np.arange(1 << self.q_low), self.theta, self.q_low)
+
+
+def _midpoints(codes, theta: int, q_low: int) -> np.ndarray:
+    """G3 reconstructions: the midpoints of cells `codes` of [0, 2^theta)."""
+    return (codes + 0.5) * math.ldexp(1.0, theta) / (1 << q_low)
 
 
 @dataclass(eq=False)
@@ -140,11 +147,12 @@ def level_statistics(stream: IQStream, levels=range(-8, 8)) -> LevelStats:
     return LevelStats(levels, p, float(np.mean(comps < 0)))
 
 
-def _high_batch(high: np.ndarray, theta: int, l: int) -> VectorBatch:
-    """G2 vectors from the high parts of 2M components (all I, then all Q)."""
-    norm = high * math.ldexp(1.0, -theta)
-    m = len(high) // 2
-    return vectorize(IQStream(norm[:m] + 1j * norm[m:]), VectorLayout.METHOD1, l)
+def _g2_vectors(high: np.ndarray, theta: int, l: int) -> np.ndarray:
+    """G2 vectors: the high parts of 2M components (all I, then all Q) over
+    2^theta, in rows of l, the last one zero-padded."""
+    norm = np.zeros(-(-len(high) // l) * l)
+    np.multiply(high, math.ldexp(1.0, -theta), out=norm[: len(high)])
+    return norm.reshape(-1, l)
 
 
 def train_upmgq(
@@ -158,27 +166,19 @@ def train_upmgq(
     """Train the G2 codebook on normalized high parts and fix the G3 grid.
 
     The G2 Lloyd result is rounded to non-negative integers (the high parts
-    are integer multiples of 2^theta by construction) and usage counts are
-    re-measured on the rounded codebook for the Huffman table.
+    are integer multiples of 2^theta by construction) and usage counts, from
+    which its Huffman table follows, are re-measured on the rounded codebook.
     """
-    check_trainer(trainer)
+    train = vq_core.trainer(trainer)
     if len(stream) == 0:
         raise ContractViolationError("empty stream")
     comps = np.concatenate([stream.samples.real, stream.samples.imag])
-    batch = _high_batch(_expand_components(comps, cfg.theta)[1], cfg.theta, cfg.l)
-    train = train_classical if trainer == CLASSICAL else train_modified
-    cb = train(batch.vectors, cfg.q_high, trials, stop, seed)
+    vecs = _g2_vectors(_expand_components(comps, cfg.theta)[1], cfg.theta, cfg.l)
+    cb = train(vecs, cfg.q_high, trials, stop, seed)
     rounded = np.maximum(np.round(cb.codewords), 0.0)
-    idx = _nearest(batch.vectors, rounded)
-    usage = np.bincount(idx, minlength=len(rounded)).astype(np.uint64)
+    usage = np.bincount(_nearest(vecs, rounded), minlength=len(rounded))
     high_vq = Codebook(cfg.l, cfg.q_high, rounded, usage, cb.training_meta)
-    table = build_huffman(estimate_pmf(idx, high_vq.size))
-    return UpmgqCodebook(high_vq, _low_grid(cfg), table, cfg.theta, cfg.q_low)
-
-
-def _low_grid(cfg: UpmgqConfig) -> np.ndarray:
-    n = 1 << cfg.q_low
-    return (np.arange(n) + 0.5) * math.ldexp(1.0, cfg.theta) / n
+    return UpmgqCodebook(high_vq, cfg.theta, cfg.q_low)
 
 
 def quantize_upmgq(
@@ -196,17 +196,15 @@ def quantize_upmgq(
         raise ContractViolationError("empty stream")
     comps = np.concatenate([stream.samples.real, stream.samples.imag])
     neg, high, low = _expand_components(comps, cfg.theta)
-    batch = _high_batch(high, cfg.theta, cfg.l)
-    g2 = _frozen_nearest(batch.vectors, cb.high_vq.codewords)
+    g2 = quantize_batch(cb.high_vq, _g2_vectors(high, cfg.theta, cfg.l),
+                        g2_counter)
     # G3: the nearest midpoint, ties (cell edges) to the lower code; the
     # counter adds the closed-form count like every other search.
     g3 = np.ceil(low * math.ldexp(1.0, cb.q_low - cb.theta)).astype(np.int64)
     g3 = np.clip(g3 - 1, 0, (1 << cb.q_low) - 1)
-    if g2_counter is not None:
-        g2_counter.add(cb.high_vq.size * len(batch.vectors), len(batch.vectors))
     if g3_counter is not None:
-        g3_counter.add(len(cb.low_sq) * len(comps), len(comps))
-    return UpmgqIndices(neg.astype(np.uint8), g2, g3.astype(np.int64))
+        g3_counter.add((1 << cb.q_low) * len(comps), len(comps))
+    return UpmgqIndices(neg.astype(np.uint8), g2, g3)
 
 
 def dequantize_upmgq(
@@ -222,18 +220,11 @@ def dequantize_upmgq(
     g2, g3 = indices.g2_indices, indices.g3_codes
     if len(g2) != -(-n // cfg.l) or len(g3) != n:
         raise ContractViolationError("index group lengths are inconsistent")
-    if g2.min(initial=0) < 0 or g2.max(initial=0) >= cb.high_vq.size:
-        raise ContractViolationError("G2 index out of range")
-    if g3.min(initial=0) < 0 or g3.max(initial=0) >= len(cb.low_sq):
+    if g3.min(initial=0) < 0 or g3.max(initial=0) >= 1 << cb.q_low:
         raise ContractViolationError("G3 code out of range")
-    batch = VectorBatch(
-        cfg.l, cb.high_vq.codewords[g2], VectorLayout.METHOD1, original_count=n
-    )
-    high_stream = devectorize(batch, sample_rate)
-    high = np.concatenate(
-        [high_stream.samples.real, high_stream.samples.imag]
-    ) * math.ldexp(1.0, cfg.theta)
-    low = cb.low_sq[g3]
+    high = dequantize_batch(cb.high_vq, g2).reshape(-1)[:n]
+    high *= math.ldexp(1.0, cfg.theta)
+    low = _midpoints(g3, cb.theta, cb.q_low)
     sign = 1.0 - 2.0 * indices.sign_negative.astype(np.float64)
     comps = sign * (high + low)
     m = n // 2
@@ -256,7 +247,7 @@ def upmgq_complexity(cfg: UpmgqConfig) -> tuple[int, int]:
 
 def save_upmgq(cb: UpmgqCodebook, path, q0: int) -> None:
     """UPMG container: magic, version, geometry and q0, G2 VQCB block, G3
-    grid as float32, then the G2 Huffman code lengths."""
+    grid as float32, then the G2 Huffman code lengths (of its `table`)."""
     high = cb.high_vq
     with open(path, "wb") as fh:
         fh.write(UPMG_MAGIC + struct.pack(
@@ -264,13 +255,14 @@ def save_upmgq(cb: UpmgqCodebook, path, q0: int) -> None:
         ))
         save_codebook(high, fh)
         fh.write(cb.low_sq.astype("<f4").tobytes())
-        fh.write(cb.huffman_high.code_lengths.astype(np.uint8).tobytes())
+        fh.write(cb.high_vq.table.code_lengths.astype(np.uint8).tobytes())
 
 
 def load_upmgq(path) -> UpmgqCodebook:
     """Read a UPMG container. The header must declare a valid geometry whose
-    body is exactly the rest of the file, and the G2 block must have that
-    geometry; q0 is checked and otherwise unused."""
+    body is exactly the rest of the file, the G2 block must have that
+    geometry, and the grid and code lengths must be those it and the G2 usage
+    counts give; q0 is checked and otherwise unused."""
     with open(path, "rb") as fh:
         header = fh.read(14)
         if len(header) < 14 or header[:8] != UPMG_MAGIC:
@@ -281,7 +273,7 @@ def load_upmgq(path) -> UpmgqCodebook:
         if version != _UPMG_VERSION:
             raise FormatError(f"unsupported UPMG version {version}")
         try:
-            cfg = UpmgqConfig(theta, q_high, l, q_low)
+            UpmgqConfig(theta, q_high, l, q_low)
         except ContractViolationError as exc:
             raise FormatError(f"bad UPMG geometry: {exc}") from exc
         if q0 < 1:
@@ -294,9 +286,9 @@ def load_upmgq(path) -> UpmgqCodebook:
         high_vq = load_codebook(fh)
         if (high_vq.l_vq, high_vq.q_vq) != (l, q_high):
             raise FormatError("G2 block geometry mismatch")
-        low_raw = fh.read(4 << q_low)
-        if low_raw != _low_grid(cfg).astype("<f4").tobytes():
+        cb = UpmgqCodebook(high_vq, theta, q_low)
+        if fh.read(4 << q_low) != cb.low_sq.astype("<f4").tobytes():
             raise FormatError("G3 grid is not the configuration's midpoints")
-        low_sq = np.frombuffer(low_raw, dtype="<f4").astype(np.float64)
-        table = table_from_lengths(np.frombuffer(fh.read(k), dtype=np.uint8))
-    return UpmgqCodebook(high_vq, low_sq, table, theta, q_low)
+        if fh.read() != high_vq.table.code_lengths.astype(np.uint8).tobytes():
+            raise FormatError("G2 code lengths do not match its usage counts")
+    return cb

@@ -8,6 +8,9 @@ matches the training corpus RMS, which kicks the search out of the local
 optimum the previous descent settled into; the best codebook seen anywhere in
 the chain is returned.
 
+VQ, each MSVQ stage and UPMGQ's G2 are `Codebook`s, each coded under its
+`Codebook.table`, from its usage counts. `trainer(name)` gives a trainer.
+
 Nearest-codeword search (`_nearest`) has two paths, chosen by codebook size
 K. Below `_TREE_MIN_CODEWORDS` it is brute force: one matrix product per
 chunk ranks every codeword by |c|^2 - 2 v.c and the row argmin wins. The
@@ -26,8 +29,8 @@ a tie within rounding between distinct codewords: the matrix product can
 round a one-row batch differently, so such a tie may fall either way.
 Non-finite vectors are refused on both paths.
 
-A codebook that compress searches whole, one fixed codebook per frame
-(`quantize_batch`, the UPMGQ G2 search and MSVQ stage 1), is searched by
+A codebook that compress searches whole, one fixed codebook per frame (VQ,
+UPMGQ G2 and MSVQ stage 1, all through `quantize_batch`), is searched by
 `_frozen_nearest`. For 512 <= K <= 65536 and l <= 3 it buckets the
 codewords (Bentley, Weide & Yao 1980, "Optimal expected-time algorithms for
 closest point problems", ACM TOMS): a grid of about 4 cells per codeword
@@ -93,8 +96,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import entropy
 from .errors import ContractViolationError, FormatError
-from .vectorizer import VectorBatch
 
 CLASSICAL = "classical"
 MODIFIED = "modified"
@@ -228,6 +231,11 @@ class Codebook:
     def stored_codewords(self) -> int:
         return self.size
 
+    @property
+    def table(self) -> entropy.HuffmanTable:
+        """Huffman table of this codebook's indices, from its usage counts."""
+        return entropy.table_from_counts(self.usage_counts, self.size)
+
 
 def codebook_size(l_vq: int, q_vq: int) -> int:
     # q_vq = 0 (a single codeword) is allowed for degenerate stages.
@@ -239,8 +247,6 @@ def codebook_size(l_vq: int, q_vq: int) -> int:
 
 
 def _as_vectors(vectors) -> np.ndarray:
-    if isinstance(vectors, VectorBatch):
-        vectors = vectors.vectors
     vecs = np.asarray(vectors, dtype=np.float64)
     if vecs.ndim != 2:
         raise ContractViolationError(
@@ -654,9 +660,11 @@ def _best_of_trials(vectors, q_vq, trials, stop, seed, algorithm, init):
     return Codebook(l_vq, q_vq, cw, usage, meta)
 
 
-def check_trainer(name: str) -> None:
+def trainer(name: str):
+    """`train_<name>`, looked up when called, so a wrapper set on it is used."""
     if name not in (CLASSICAL, MODIFIED):
         raise ContractViolationError(f"unknown trainer {name!r}")
+    return globals()[f"train_{name}"]
 
 
 def train_classical(

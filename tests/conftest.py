@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fvq
-from fvq import entropy, pipeline, upmgq
+from fvq import pipeline
 
 def make_corpus(num_symbols, snr_db=5.0, seed=0, link="uplink_scfdm",
                 modulation="qam64"):
@@ -52,10 +52,7 @@ def seeded_codebooks(quantizer, seed=0):
             q.l, q.q_high,
             lambda shape: rng.integers(0, levels, shape).astype(np.float64),
         )
-        table = entropy.table_from_counts(high.usage_counts, high.size)
-        return fvq.UpmgqCodebook(
-            high, upmgq._low_grid(q), table, q.theta, q.q_low
-        )
+        return fvq.UpmgqCodebook(high, q.theta, q.q_low)
     return None
 
 

@@ -141,19 +141,12 @@ def _measured_msvq_so_cs(q1, q2, l):
 
 
 def _measured_upmgq_so_cs(theta, q_high, l, q_low):
-    cfg = UpmgqConfig(theta, q_high, l, q_low)
     rng = np.random.default_rng(7)
     size = 2 ** (q_high * l)
     high_vq = vq_core.Codebook(
         l, q_high, np.abs(np.round(rng.standard_normal((size, l)) * 9))
     )
-    cb = upmgq.UpmgqCodebook(
-        high_vq,
-        upmgq._low_grid(cfg),
-        ec.build_huffman(np.full(size, 1.0 / size)),
-        theta,
-        q_low,
-    )
+    cb = upmgq.UpmgqCodebook(high_vq, theta, q_low)
     stream = fvq.IQStream(
         22.0 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
     )

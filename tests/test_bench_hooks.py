@@ -43,8 +43,21 @@ def test_workload_round_trip_through_patch_sites(name):
     assert problems == []
 
 
-def test_training_calls_patched_lloyd():
-    profile = pipeline.CompressionProfile(quantizer=pipeline.VqSpec(1, 2))
+# the codebook a quantizer's first Lloyd run trains
+FIRST_TRAINED = {
+    "vq": lambda artifact: artifact,
+    "msvq": lambda artifact: artifact.stage1,
+    "upmgq": lambda artifact: artifact.high_vq,
+}
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_training_calls_patched_lloyd(name):
+    # 6 symbols: the fewest that hold a vector per ul_vq_l2q6 codeword
+    profile = workloads.WORKLOADS[name].profile
+    corpus = make_corpus(6, seed=3, link=workloads.WAVEFORM_LINK[profile.link])
     with tracing.recording(tracing.TRAINING_SITES) as calls:
-        pipeline.train_for_profile(make_corpus(1, seed=3), profile, trials=1)
-    assert len(calls) == 1
+        artifact = pipeline.train_for_profile(corpus, profile, trials=1)
+    assert calls
+    first = FIRST_TRAINED[profile.quantizer.kind](artifact)
+    assert first.training_meta is calls[0][1].training_meta

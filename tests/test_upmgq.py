@@ -151,10 +151,10 @@ class TestQuantize:
         # per-component error < G3 half step + max G2 cell radius
         comps = np.concatenate([s.samples.real, s.samples.imag])
         high = ug._expand_components(comps, cfg.theta)[1]
-        batch = ug._high_batch(high, cfg.theta, cfg.l)
+        vecs = ug._g2_vectors(high, cfg.theta, cfg.l)
         from fvq.vq_core import _assign
 
-        idx, dist = _assign(batch.vectors, cb.high_vq.codewords)
+        idx, dist = _assign(vecs, cb.high_vq.codewords)
         max_cell_radius = float(np.sqrt(dist.max()))
         half_step = math.ldexp(1.0, cfg.theta) / 2**cfg.q_low / 2
         err = np.abs(
@@ -213,8 +213,7 @@ class TestQuantize:
         comps = np.array(comps + [0.0] * (len(comps) % 2))
         cfg = _cfg(theta, 1, 1, q_low)
         g2 = Codebook(1, 1, [[0.0], [1.0]], [1, 1])
-        cb = ug.UpmgqCodebook(g2, ug._low_grid(cfg),
-                              fvq.build_huffman([0.5, 0.5]), theta, q_low)
+        cb = ug.UpmgqCodebook(g2, theta, q_low)
         m = len(comps) // 2
         ind = ug.quantize_upmgq(cb, cfg, IQStream(comps[:m] + 1j * comps[m:]))
         low = ug._expand_components(comps, theta)[2]
@@ -290,7 +289,7 @@ class TestIo:
             loaded.high_vq.codewords, cb.high_vq.codewords
         )  # integers survive float32 exactly
         np.testing.assert_array_equal(
-            loaded.huffman_high.code_lengths, cb.huffman_high.code_lengths
+            loaded.high_vq.usage_counts, cb.high_vq.usage_counts
         )
         np.testing.assert_allclose(
             loaded.low_sq, cb.low_sq.astype(np.float32)
@@ -304,8 +303,8 @@ class TestIo:
     }
 
     @pytest.mark.parametrize("case", [
-        "lengths all 0", "lengths all 1", "lengths all 70",
-        "NaN grid point", "grid point off the midpoints",
+        "lengths all 0", "lengths all 1", "lengths all 70", "lengths all 6",
+        "usage count 2^63", "NaN grid point", "grid point off the midpoints",
         "G2 block geometry", *HEADER_CASES,
     ])
     def test_hostile_container_refused(self, tmp_path, case):
@@ -316,10 +315,14 @@ class TestIo:
         ug.load_upmgq(path)  # the untouched file loads
         blob = bytearray(path.read_bytes())
         k = cb.high_vq.size
+        # "all 6" is a valid code, but not the one of the usage counts
         lengths = {"lengths all 0": 0, "lengths all 1": 1,
-                   "lengths all 70": 70}
+                   "lengths all 70": 70, "lengths all 6": 6}
         if case in lengths:
             blob[-k:] = bytes([lengths[case]]) * k
+        elif case == "usage count 2^63":
+            at = 14 + 15 + 4 * k * 2  # the first G2 usage count
+            blob[at : at + 8] = (1 << 63).to_bytes(8, "little")
         elif case in self.HEADER_CASES:
             at, value = self.HEADER_CASES[case]
             blob[at] = value
