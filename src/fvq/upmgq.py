@@ -35,8 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vq_core
+from .entropy import build_huffman, estimate_pmf  # noqa: F401 (bench/tracing.py)
 from .errors import ContractViolationError, FormatError
 from .iqstream import IQStream
+from .vectorizer import devectorize, vectorize  # noqa: F401 (bench/tracing.py)
 from .vq_core import (
     CLASSICAL,
     Codebook,
@@ -51,8 +53,6 @@ from .vq_core import (
     train_classical,  # noqa: F401 (patched by bench/tracing.py)
     train_modified,  # noqa: F401
 )
-from .entropy import build_huffman, estimate_pmf  # noqa: F401 (bench/tracing.py)
-from .vectorizer import devectorize, vectorize  # noqa: F401 (bench/tracing.py)
 
 UPMG_MAGIC = b"UPMG\x00\x00\x00\x00"
 _UPMG_VERSION = 1
