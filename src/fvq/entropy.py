@@ -6,16 +6,29 @@ streams routinely differ from training streams). Codes are canonical, so a
 table serializes as one code length per symbol. Emitted bit order is
 MSB-first within each byte.
 
+Encoding is word-parallel: each code is shifted into the 64-bit word that
+holds its last bit, the codes that end in one word are OR-ed together, and
+a code that straddles a word boundary puts its high bits into the word
+before.
+
 Decoding reads a code at a time, for every bit position at once (Moffat &
 Turpin, "On the implementation of minimum-redundancy prefix codes", 1997).
-Left-justified in 64 bits, the canonical codes of each length occupy one
-range above those of every shorter length, so the length of the code that
-starts at bit p is found by `np.searchsorted` of the 64-bit window at p
-against each length's last left-justified code, and its symbol follows from
-that length's first code and first position in canonical order. Each
-position's successor p + len(p) is known from that alone; composing the
-successor map with itself (pointer doubling) gives the positions of all
-`count` symbols in log2(count) vector steps. The per-length constants are
+The window at bit p is the 32 bits from p on, or 64 bits for a table with a
+code longer than 32 bits. Left-justified in the window, the canonical codes
+of each length occupy one range above those of every shorter length, so the
+length of the code that starts at p is found by counting the lengths the
+table uses whose last left-justified code the window exceeds (stepping up
+from the shortest length once for each), and its symbol follows from that
+length's first code and first position in canonical order. Each
+position's successor p + len(p) is known from that alone. Pointer doubling
+composes the successor map with itself log2(T) times (T = `_SPAN` = 32),
+so that it jumps over T codes; a scalar loop follows those jumps from bit 0
+to every T-th code start, and T vector steps of the one-code jump fill in
+the starts between them. For n bits read and `count` symbols that is
+O(n log T + count) work, valid payload or not, and no loop runs a
+data-dependent number of times. (A speculative self-synchronising decode
+is not used: its fix-up rounds have no useful bound on a hostile
+payload.) The per-length constants are
 computed once per `HuffmanTable`, and `table_from_counts` memoises its
 tables on the counts' content, so a codebook whose usage counts have not
 changed gets the same table, constants included, on every call.
@@ -27,7 +40,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 # bench/tracing.py patches entropy.unpack_bit_array
 from .bitio import unpack_bit_array  # noqa: F401
@@ -81,11 +93,15 @@ class _Decoder(NamedTuple):
     """Canonical decoding constants of one table."""
 
     order: np.ndarray  # symbols in canonical order (by length, then symbol)
-    lengths: np.ndarray  # code lengths that occur, ascending, then 0
-    last: np.ndarray  # per such length: its last code left-justified, uint64
+    lengths: np.ndarray  # code lengths that occur, ascending
+    steps: np.ndarray  # per such length: up to the next one; 1 after the
+    # longest, so a window past every last code reads max_len + 1
+    last: np.ndarray  # per such length: its last code left-justified in
+    # `width` bits, as uint32 or uint64
     first_code: np.ndarray  # per length 0..max_len: first code, uint64
     first_pos: np.ndarray  # per length 0..max_len: its first index in order
     max_len: int
+    width: int  # bits per decode window: 32, or 64 for longer codes
 
 
 def _canonical_decoder(code_lengths) -> _Decoder:
@@ -93,6 +109,7 @@ def _canonical_decoder(code_lengths) -> _Decoder:
     max_len = int(lengths.max())
     if max_len > 64:
         raise ContractViolationError("code length exceeds 64 bits")
+    width = 32 if max_len <= 32 else 64
     num = np.bincount(lengths, minlength=max_len + 1).tolist()
     first_code = np.zeros(max_len + 1, dtype=np.uint64)
     first_pos = np.zeros(max_len + 1, dtype=np.int64)
@@ -104,13 +121,14 @@ def _canonical_decoder(code_lengths) -> _Decoder:
             code += num[ln]
             pos += num[ln]
             present.append(ln)
-            last.append((code << (64 - ln)) - 1)
+            last.append((code << (width - ln)) - 1)
         code <<= 1
     return _Decoder(
         np.lexsort((np.arange(len(lengths)), lengths)),
-        np.array(present + [0], dtype=np.uint8),
-        np.array(last, dtype=np.uint64),
-        first_code, first_pos, max_len,
+        np.array(present, dtype=np.uint8),
+        np.diff(present + [max_len + 1]).astype(np.uint8),
+        np.array(last, dtype=f"uint{width}"),
+        first_code, first_pos, max_len, width,
     )
 
 
@@ -200,29 +218,51 @@ def encode(table: HuffmanTable, indices) -> tuple[bytes, int]:
     if indices.min() < 0 or indices.max() >= table.alphabet_size:
         raise ContractViolationError("symbol outside alphabet")
     lens = table.code_lengths[indices]
+    end = np.cumsum(lens)
+    total = int(end[-1])
+    if total == 0:  # a one-symbol alphabet's codes are empty
+        return b"", 0
+    # each code is OR-ed into the 64-bit word that holds its last bit,
+    # shifted up past the bits after it in that word; a code that straddles
+    # a word boundary puts its high bits into the word before
+    word = (end - 1) >> 6
+    shift = (-end) & 63
     codes = table.codes[indices]
-    total = int(lens.sum())
-    offsets = np.cumsum(lens) - lens
-    bits = np.zeros(total, dtype=np.uint8)
-    for b in range(int(lens.max())):
-        mask = lens > b
-        shift = (lens[mask] - 1 - b).astype(np.uint64)
-        bits[offsets[mask] + b] = (codes[mask] >> shift) & np.uint64(1)
-    return np.packbits(bits).tobytes(), total
+    runs = np.flatnonzero(np.diff(word, prepend=-1))
+    words = np.zeros((total + 63) >> 6, dtype=np.uint64)
+    words[word[runs]] = np.bitwise_or.reduceat(
+        codes << shift.astype(np.uint64), runs
+    )
+    over = np.flatnonzero(lens + shift > 64)
+    high = codes[over] >> (64 - shift[over]).astype(np.uint64)
+    words[word[over] - 1] |= high
+    return words.astype(">u8").tobytes()[: (total + 7) >> 3], total
 
 
-def _bit_windows(payload: bytes, n: int) -> np.ndarray:
-    """The 64 bits of `payload` starting at each bit 0..n-1, MSB-first, as
-    uint64; bits past the payload's end read as zero."""
+# Pointer doubling in `decode` stops once a jump spans this many codes.
+_SPAN = 32
+
+
+def _bit_windows(payload: bytes, n: int, width: int) -> np.ndarray:
+    """The `width` (32 or 64) bits of `payload` starting at each bit
+    0..n-1, MSB-first, as uint32 or uint64; bits past the payload's end
+    read as zero."""
+    size = width >> 3
+    dtype = np.dtype(f"uint{width}")
     n_bytes = (n + 7) >> 3
-    data = np.frombuffer(payload, dtype=np.uint8)[: n_bytes + 8]
-    buf = np.zeros(n_bytes + 8, dtype=np.uint8)
+    buf = np.zeros(n_bytes + size, dtype=np.uint8)
+    data = np.frombuffer(payload, dtype=np.uint8)[: len(buf)]
     buf[: len(data)] = data
-    words = sliding_window_view(buf, 8)[:n_bytes].copy().view(">u8")
-    spill = buf[8:, None].astype(np.uint64)  # the byte after each word
-    shift = np.arange(8, dtype=np.uint64)
-    windows = (words.astype(np.uint64) << shift) | (spill >> (8 - shift))
-    return windows.reshape(-1)[:n]
+    # words[b]: the `size` bytes from byte b on, big-endian
+    words = np.empty(n_bytes, dtype=dtype)
+    for r in range(size):
+        part = words[r::size]
+        part[:] = np.frombuffer(buf, dtype.newbyteorder(">"), len(part), r)
+    # row s: the window at bit s of each byte, topped up from the next byte
+    shift = np.arange(8, dtype=np.uint8)[:, None]
+    windows = words << shift.astype(dtype)
+    windows |= buf[size:] >> (8 - shift)
+    return windows.T.reshape(-1)[:n]
 
 
 def decode(table: HuffmanTable, payload: bytes, count: int) -> np.ndarray:
@@ -247,35 +287,54 @@ def decode(table: HuffmanTable, payload: bytes, count: int) -> np.ndarray:
     dec = table._decoder
     # no symbol of the first `count` starts at or after bit n
     n = min(8 * len(payload), count * dec.max_len)
-    windows = _bit_windows(payload, n)
-    lens = dec.lengths[np.searchsorted(dec.last, windows)]  # 0: no code
+    windows = _bit_windows(payload, n, dec.width)
+    # lens[p]: the length of the code at p, max_len + 1 where none is
+    lens = np.full(n, dec.lengths[0], dtype=np.uint8)
+    for last, step in zip(dec.last, dec.steps):
+        lens += (windows > last) * step
     # jump[p]: the bit after the code at p; `bad` where none fits in n bits
     bad = n + 1
-    jump = np.arange(n, dtype=np.intp) + lens
-    jump[(lens == 0) | (jump > n)] = bad
-    jump = np.append(jump, [bad, bad])
-    # pos[k]: first bit of symbol k, pos[count] the bit after the last one;
-    # each pass doubles `done` and turns `jump` into a jump over `done` codes
-    pos = np.zeros(count + 1, dtype=np.intp)
-    done = 1
-    while done <= count:
-        step = min(done, count + 1 - done)
-        pos[done : done + step] = jump[pos[:step]]
-        done += step
-        if done <= count:
-            jump = jump[jump]
+    jump = np.arange(n + 2, dtype=np.intp)
+    head = jump[:n]
+    head += lens
+    head[lens > dec.max_len] = bad
+    np.minimum(head, bad, out=head)
+    jump[n:] = bad
+    del lens
+    # far: a jump over `span` codes; each pass doubles it, in two buffers
+    # (every entry is an index into jump, so "clip" never clips)
+    far = np.take(jump, jump, mode="clip")
+    spare = np.empty_like(far)
+    span = 2
+    while span < _SPAN:
+        np.take(far, far, out=spare, mode="clip")
+        far, spare = spare, far
+        span *= 2
+    del spare
+    # every span-th code start, then the starts between them: pos[k] is the
+    # first bit of symbol k, pos[count] the bit after the last one
+    chain = [0]
+    for _ in range(count // span):
+        chain.append(far.item(chain[-1]))
+    del far
+    fill = np.empty((len(chain), span), dtype=np.intp)
+    fill[:, 0] = chain
+    for j in range(1, span):
+        fill[:, j] = jump[fill[:, j - 1]]
+    del jump
+    pos = fill.reshape(-1)[: count + 1]
     if pos[count] == bad:  # `bad` is absorbing
         k = int(np.argmax(pos == bad)) - 1
-        p = int(pos[k])
-        if p + dec.max_len <= n and lens[p] == 0:
+        if pos[k] + dec.max_len <= n:  # a whole window, and no code in it
             raise MalformedBitstreamError("invalid code in bit payload")
         raise MalformedBitstreamError(
             f"bit payload exhausted after {k} of {count} symbols"
         )
+    ln = np.diff(pos)
     pos = pos[:count]
-    ln = lens[pos]
-    offset = (windows[pos] >> (64 - ln.astype(np.uint64))) - dec.first_code[ln]
-    return dec.order[dec.first_pos[ln] + offset.astype(np.int64)]
+    word = windows[pos] >> (dec.width - ln).astype(windows.dtype)
+    offset = (word - dec.first_code[ln]).astype(np.int64)
+    return dec.order[dec.first_pos[ln] + offset]
 
 
 def ec_gain(table: HuffmanTable, l_vq: int, q_vq: int) -> float:

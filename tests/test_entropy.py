@@ -295,6 +295,169 @@ class TestTableDrivenDecode:
         assert peak < 40 * 8 * len(payload)
 
 
+def _bit_string(table, indices):
+    """Each symbol's code written out as '0'/'1' characters, joined."""
+    return "".join(
+        format(int(table.codes[s]), "b").zfill(int(table.code_lengths[s]))
+        if table.code_lengths[s] else ""
+        for s in indices
+    )
+
+
+def _to_bytes(bits):
+    """A '0'/'1' string packed MSB-first, zero-padded to whole bytes."""
+    padded = bits + "0" * (-len(bits) % 8)
+    return bytes(int(padded[i : i + 8], 2) for i in range(0, len(padded), 8))
+
+
+def _bit_string_encode(table, indices):
+    """Reference encoder: the codes as one bit string, packed."""
+    bits = _bit_string(table, indices)
+    return _to_bytes(bits), len(bits)
+
+
+# lengths 1, 2, ..., 63, 64, 64: symbol s - 1 has an s-bit code, s <= 64
+_ONE_OF_EACH_LENGTH = list(range(1, 65)) + [64]
+
+
+class TestWordParallelEncode:
+    """entropy.encode against the bit-string reference encoder above."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 80), st.integers(2, 4096)),
+        skew=st.floats(0.0, 1.0),
+        drop=st.integers(0, 3),
+        n_data=st.integers(0, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_bit_string_encoder(self, n, skew, drop, n_data, seed):
+        rng = np.random.default_rng(seed)
+        lengths = _random_lengths(rng, n, skew, drop) if n > 1 else [0]
+        table = ec.table_from_lengths(lengths)
+        data = rng.integers(0, n, n_data)
+        assert ec.encode(table, data) == _bit_string_encode(table, data)
+
+    @pytest.mark.parametrize("code_bits", [
+        [64], [64, 64], [32, 32, 1], [63, 1, 64], [1, 64], [63, 2],
+        [60, 60, 8], [33, 31, 64, 1, 63], [5] * 40, list(range(1, 65)),
+    ])
+    def test_word_boundaries(self, code_bits):
+        # codes that end exactly on a 64-bit word boundary and codes that
+        # straddle one, from a table with a code of every length 1..64
+        table = ec.table_from_lengths(_ONE_OF_EACH_LENGTH)
+        data = np.array(code_bits) - 1
+        ends = np.cumsum(code_bits)
+        starts = ends - code_bits
+        straddles = starts // 64 < (ends - 1) // 64
+        assert np.any(ends % 64 == 0) or np.any(straddles)
+        assert ec.encode(table, data) == _bit_string_encode(table, data)
+
+    def test_one_symbol_alphabet(self):
+        table = ec.table_from_lengths([0])
+        assert ec.encode(table, [0] * 7) == (b"", 0)
+
+    def test_empty_input(self):
+        table = ec.table_from_lengths(_ONE_OF_EACH_LENGTH)
+        assert ec.encode(table, []) == (b"", 0)
+
+
+def _same_outcome(table, payload, count):
+    """entropy.decode and the bit-serial reference agree: equal symbols, or
+    both raise with the same kind of message. Returns the symbols or the
+    kind of error."""
+    try:
+        expected = _bit_serial_decode(table, payload, count)
+    except MalformedBitstreamError as exc:
+        kind = "invalid code" if "invalid" in str(exc) else "exhausted"
+        with pytest.raises(MalformedBitstreamError, match=kind):
+            ec.decode(table, payload, count)
+        return kind
+    got = ec.decode(table, payload, count)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, expected)
+    return got
+
+
+class TestCappedDoublingDecode:
+    """Decode edge cases of the capped pointer doubling (a jump spans
+    `_SPAN` codes) and of the window width, against the bit-serial
+    reference decoder."""
+
+    T = ec._SPAN
+
+    @pytest.mark.parametrize("count", [1, T - 1, T, T + 1, 2 * T, 3 * T,
+                                       5 * T + 7])
+    def test_counts_around_the_span(self, count):
+        rng = np.random.default_rng(count)
+        table = ec.table_from_lengths(_random_lengths(rng, 50, 0.3, 1))
+        data = rng.integers(0, 50, count)
+        payload, _ = ec.encode(table, data)
+        got = _same_outcome(table, payload, count)
+        np.testing.assert_array_equal(got, data)
+        for cut in (1, 2):
+            assert isinstance(_same_outcome(table, payload[:-cut], count), str)
+        _same_outcome(table, payload, count + 1)  # the padding read as codes
+
+    @pytest.mark.parametrize("count", [T, 4 * T])
+    def test_payload_ends_at_the_last_code(self, count):
+        # 2-bit codes fill whole bytes, so the last code ends on the
+        # payload's last bit, and no symbol more can be read
+        table = ec.table_from_lengths([2, 2, 2, 2])
+        data = np.arange(count) % 4
+        payload, bits = ec.encode(table, data)
+        assert bits == 8 * len(payload)
+        got = _same_outcome(table, payload, count)
+        np.testing.assert_array_equal(got, data)
+        assert _same_outcome(table, payload, count + 1) == "exhausted"
+
+    def test_read_ends_at_the_last_code(self):
+        # every code is a longest one, so count * max_len bits are all that
+        # is read, and the bytes after them are never looked at
+        table = ec.table_from_lengths([1, 2, 3, 3])
+        data = np.full(3 * self.T, 3)
+        payload, bits = ec.encode(table, data)
+        assert bits == 3 * len(data)
+        np.testing.assert_array_equal(
+            _same_outcome(table, payload + b"\xff" * 8, len(data)), data
+        )
+
+    @pytest.mark.parametrize("max_len, width", [(32, 32), (33, 64)])
+    def test_window_width_switch(self, max_len, width):
+        lengths = list(range(1, max_len)) + [max_len, max_len]
+        table = ec.table_from_lengths(lengths)
+        assert table._decoder.width == width
+        rng = np.random.default_rng(max_len)
+        data = rng.permutation(np.repeat(np.arange(len(lengths)), 3))
+        payload, _ = ec.encode(table, data)
+        np.testing.assert_array_equal(
+            _same_outcome(table, payload, len(data)), data
+        )
+        for seed in range(20):
+            payload = np.random.default_rng(seed).bytes(40)
+            _same_outcome(table, payload, 16 * seed + 1)
+        # an incomplete code: the all-ones longest code dropped, and then
+        # written after the data (and a byte more, which the bit-serial
+        # decoder reads before it calls the code invalid)
+        table = ec.table_from_lengths(lengths[:-1])
+        data = data[data < len(lengths) - 1]
+        bits = _bit_string(table, data) + "1" * max_len + "0" * 8
+        assert _same_outcome(
+            table, _to_bytes(bits), len(data) + 1
+        ) == "invalid code"
+
+    @pytest.mark.parametrize("at", [T, 2 * T, T + 1, T + 17, 2 * T - 1])
+    def test_invalid_code_at_chain_start_and_inside_fill(self, at):
+        # an incomplete code: "0" and "10" are codes, "11" is none; symbol
+        # `at` is "11", a chain start where `at` is a multiple of the span
+        table = ec.table_from_lengths([1, 2])
+        payload = _to_bytes("0" * at + "11" + "0" * 40)
+        assert _same_outcome(table, payload, at + 10) == "invalid code"
+        np.testing.assert_array_equal(
+            _same_outcome(table, payload, at), np.zeros(at)
+        )
+
+
 def _built_from_counts(counts):
     """The table of `counts`, built without the table cache."""
     return ec.build_huffman((counts + 1.0) / (counts.sum() + len(counts)))
