@@ -157,11 +157,17 @@ def cmd_gen(args) -> int:
 
 def _trainer_opts(config):
     """`train_for_profile` keywords for only the keys "training" sets."""
-    block = dict(config.get("training", {}))
-    casts = {"trainer": str, "trials": int, "seed": int}
-    opts = {k: cast(block[k]) for k, cast in casts.items() if k in block}
-    casts = {"max_iterations": int, "rel_improvement_eps": float}
-    stop = {k: cast(block[k]) for k, cast in casts.items() if k in block}
+    casts = {"trainer": str, "trials": int, "seed": int,
+             "max_iterations": int, "rel_improvement_eps": float}
+    try:
+        block = dict(config.get("training", {}))
+        opts = {k: cast(block[k]) for k, cast in casts.items() if k in block}
+    except (TypeError, ValueError) as exc:
+        raise ContractViolationError(
+            f"malformed training block: {exc}"
+        ) from exc
+    stop = {k: opts.pop(k) for k in ("max_iterations", "rel_improvement_eps")
+            if k in opts}
     if stop:
         opts["stop"] = vq_core.LloydStop(**stop)
     return opts

@@ -253,6 +253,16 @@ class TestTrainCompressDecompress:
                     "--set", "training.trainer=bogus",
                     "--out", tmp_path / "cb.vqcb") == 4
 
+    @pytest.mark.parametrize("key", ["trials", "rel_improvement_eps"])
+    def test_malformed_training_value_exit_code_4(
+        self, profile_path, tmp_path, key
+    ):
+        corpus = tmp_path / "c.iqf"
+        assert _run("gen", "--profile", profile_path, "--out", corpus) == 0
+        assert _run("train", "--profile", profile_path, "--in", corpus,
+                    "--set", f'training.{key}="x"',
+                    "--out", tmp_path / "cb.vqcb") == 4
+
     def test_usage_error_exit_code_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["no-such-command"])
