@@ -29,9 +29,9 @@ O(n log T + count) work, valid payload or not, and no loop runs a
 data-dependent number of times. (A speculative self-synchronising decode
 is not used: its fix-up rounds have no useful bound on a hostile
 payload.) The per-length constants are
-computed once per `HuffmanTable`, and `table_from_counts` memoises its
-tables on the counts' content, so a codebook whose usage counts have not
-changed gets the same table, constants included, on every call.
+computed once per `HuffmanTable`. A codebook builds its table from its
+usage counts once (`table_from_counts`) and keeps it, constants included,
+for every frame it codes.
 """
 
 import functools
@@ -189,22 +189,13 @@ def canonical_codes(lengths) -> np.ndarray:
 
 
 def table_from_counts(counts, alphabet_size: int) -> HuffmanTable:
-    """Table from raw usage counts (codebook artifacts store these).
-
-    Memoised on the counts' content and the alphabet size: equal counts give
-    the same table object, with read-only arrays, and changed counts (even
-    an array changed in place) give a new one. Counts are float64 (exact to
-    2^53), so any uint64 counts, a hostile file's too, give a table.
-    """
+    """Table from raw usage counts (codebook artifacts store these), with
+    read-only arrays: every frame its codebook codes shares it. Counts are
+    float64 (exact to 2^53), so any uint64 counts, a hostile file's too,
+    give a table."""
     flat = np.zeros(alphabet_size)
     flat[: len(counts)] = counts
-    return _table_from_flat_counts(flat.tobytes())
-
-
-@functools.lru_cache(maxsize=8)
-def _table_from_flat_counts(flat: bytes) -> HuffmanTable:
-    counts = np.frombuffer(flat)
-    table = build_huffman((counts + 1.0) / (counts.sum() + len(counts)))
+    table = build_huffman((flat + 1.0) / (flat.sum() + alphabet_size))
     table.code_lengths.setflags(write=False)
     table.codes.setflags(write=False)
     return table

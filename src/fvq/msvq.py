@@ -15,6 +15,7 @@ Reconstruction returns the stage-2 codeword directly (cells hold absolute
 positions, not residuals).
 """
 
+import functools
 import logging
 import struct
 from dataclasses import dataclass
@@ -44,10 +45,10 @@ VQMS_MAGIC = b"VQMS\x00\x00\x00\x00"
 _VQMS_VERSION = 1
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MsvqCodebook:
-    """Stage-1 codebook and its per-cell stage-2 codebooks; compared by
-    identity, like `Codebook`."""
+    """Stage-1 codebook and its per-cell stage-2 codebooks; immutable and
+    compared by identity, like `Codebook`."""
 
     stage1: Codebook
     stage2: list  # one Codebook per stage-1 cell, in index order
@@ -67,7 +68,7 @@ class MsvqCodebook:
     def stored_codewords(self) -> int:
         return self.stage1.size + sum(cb.size for cb in self.stage2)
 
-    @property
+    @functools.cached_property
     def stage2_table(self) -> entropy.HuffmanTable:
         """Stage-2 table shared by every cell, from the summed usage counts."""
         pooled = np.sum([cb.usage_counts for cb in self.stage2], axis=0)
@@ -155,7 +156,7 @@ def quantize_msvq(
     """(stage-1 indices, stage-2 indices) for a batch of vectors. Stage 1
     is one codebook searched whole (`quantize_batch`). A stage-2 codebook
     sees only its cell's vectors (`_cells`), and with up to 2^(l*q1) of them
-    one memoised grid each would not stay cached, so they keep `_nearest`."""
+    a grid each would cost more memory than it saves: they keep `_nearest`."""
     vecs = _as_vectors(vectors)
     i1 = quantize_batch(cb.stage1, vecs)  # checks the vector length
     i2 = np.empty(len(vecs), dtype=np.int64)

@@ -8,8 +8,11 @@ matches the training corpus RMS, which kicks the search out of the local
 optimum the previous descent settled into; the best codebook seen anywhere in
 the chain is returned.
 
-VQ, each MSVQ stage and UPMGQ's G2 are `Codebook`s, each coded under its
-`Codebook.table`, from its usage counts. `trainer(name)` gives a trainer.
+VQ, each MSVQ stage and UPMGQ's G2 are `Codebook`s: values, trained once
+and then used unchanged. Codewords and usage counts are read-only copies;
+the k-d tree (`tree`), candidate grid (`grid`) and Huffman table (`table`,
+from the usage counts) are each built on first use and kept with the
+codebook. `trainer(name)` gives a trainer.
 
 Nearest-codeword search (`_nearest`) has two paths, chosen by codebook size
 K. Below `_TREE_MIN_CODEWORDS` it is brute force: one matrix product per
@@ -19,8 +22,8 @@ row falls in the batch, so an index whose codeword equals one of lower
 index is replaced by that one (`_first_equal`); exact ties, duplicate
 codewords included, thus break to the lowest index. From that size on it is
 an exact k-d tree search (Friedman, Bentley & Finkel 1977;
-`scipy.spatial.cKDTree`, memoised on the codewords' content) for each
-vector's two nearest codewords. A vector whose two nearest squared
+`scipy.spatial.cKDTree`, the codebook's own or one built for the search)
+for each vector's two nearest codewords. A vector whose two nearest squared
 distances differ by at most 1e-9 (|v|^2 + max |c|^2), far above the
 rounding of either path, is searched again by brute force. Every index
 therefore equals the brute-force one, exact ties and duplicate codewords
@@ -31,27 +34,26 @@ Non-finite vectors are refused on both paths.
 
 A codebook that compress searches whole, one fixed codebook per frame (VQ,
 UPMGQ G2 and MSVQ stage 1, all through `quantize_batch`), is searched by
-`_frozen_nearest`. For 512 <= K <= 65536 and l <= 3 it buckets the
-codewords (Bentley, Weide & Yao 1980, "Optimal expected-time algorithms for
-closest point problems", ACM TOMS): a grid of about 4 cells per codeword
-over their bounding box, memoised on their content like the tree. Each cell
-lists, ascending as uint16, every codeword within r = d0 + diag + sqrt(tol)
-of its centre x0, where d0 is the distance from x0 to its nearest codeword,
-diag the cell diagonal and tol the largest tie tolerance over the box. A
-vector v in the cell lies within diag/2 of x0, so its nearest codeword is
-within d0 + diag/2 of v, any codeword within v's tie tolerance of that one
-is within d0 + diag/2 + sqrt(tol) of v, and both are within r of x0: the
-list holds the nearest codeword and all its near ties. The candidates are
-ranked by |c|^2 - 2 v.c, padding slots at +inf. Where exactly one of them
-lies within the tie tolerance of the best, the best is the nearest codeword
-by more than the rounding of any path, so it is the brute-force index. A
-near tie (more than one candidate within the tolerance) goes straight to
-brute force, as the tree path would after finding the same tie. A vector
-outside the box, or in a cell that would list more than `_GRID_SLOTS`
-codewords, takes `_nearest`, so a duplicate-heavy codebook keeps the tree
-for most of its vectors. Every index equals `_nearest`'s. Training keeps
-`_nearest`, as its codewords change every iteration, and so do MSVQ's
-stage-2 codebooks, which are too many to keep a grid each.
+`_frozen_nearest`. For 512 <= K <= 65536 and l <= 3 it buckets the codewords
+(Bentley, Weide & Yao 1980, "Optimal expected-time algorithms for closest
+point problems", ACM TOMS): the codebook's grid of about 4 cells per
+codeword over their bounding box. Each cell lists, ascending as uint16,
+every codeword within r = d0 + diag + sqrt(tol) of its centre x0, where d0
+is the distance from x0 to its nearest codeword, diag the cell diagonal and
+tol the largest tie tolerance over the box. A vector v in the cell lies
+within diag/2 of x0, so its nearest codeword is within d0 + diag/2 of v, any
+codeword within v's tie tolerance of that one is within d0 + diag/2 +
+sqrt(tol) of v, and both are within r of x0: the list holds the nearest
+codeword and all its near ties. The candidates are ranked by |c|^2 - 2 v.c,
+padding slots at +inf. Where exactly one of them lies within the tie
+tolerance of the best, the best is the nearest codeword by more than the
+rounding of any path, so it is the brute-force index. A near tie (more than
+one candidate within the tolerance) goes straight to brute force, as the
+tree path would after finding the same tie. A vector outside the box, or in
+a cell that would list more than `_GRID_SLOTS` codewords, takes `_nearest`
+through the codebook's tree, so a duplicate-heavy codebook keeps the tree
+for most of its vectors. Every index equals `_nearest`'s. Training and the
+MSVQ stage-2 searches build trees of their own.
 
 Where training needs the distance to the chosen codeword (`_assign`), it is
 computed from the index alone, as (-2 v.c_j + |c_j|^2) + |v|^2 clamped at 0,
@@ -118,7 +120,6 @@ _TREE_MIN_CODEWORDS = 512
 # Codebooks that `_frozen_nearest` searches through a candidate grid: from
 # the tree threshold up to the largest size whose indices fit uint16, in at
 # most 3 dimensions (in more, the ball a cell lists holds too many).
-_GRID_MIN_CODEWORDS = 512
 _GRID_MAX_CODEWORDS = 1 << 16
 _GRID_MAX_DIM = 3
 _GRID_CELLS_PER_CODEWORD = 4
@@ -196,32 +197,35 @@ class LloydStop:
             raise ContractViolationError("rel_improvement_eps must be > 0")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Codebook:
-    """A VQ codebook; compared by identity, since its fields are arrays."""
+    """A VQ codebook, immutable (module docstring); compared by identity,
+    since its fields are arrays."""
 
     l_vq: int
     q_vq: int
-    codewords: np.ndarray  # (2**(l_vq*q_vq), l_vq) float64
-    usage_counts: np.ndarray = None
+    codewords: np.ndarray  # (2**(l_vq*q_vq), l_vq) float64, read-only
+    usage_counts: np.ndarray = None  # (2**(l_vq*q_vq),) uint64, read-only
     training_meta: TrainingMeta = None
 
     def __post_init__(self):
-        self.codewords = np.asarray(self.codewords, dtype=np.float64)
         expected = codebook_size(self.l_vq, self.q_vq)
-        if self.codewords.shape != (expected, self.l_vq):
+        codewords = np.array(self.codewords, dtype=np.float64)
+        if codewords.shape != (expected, self.l_vq):
             raise ContractViolationError(
                 f"codebook must be {expected} x {self.l_vq}, "
-                f"got {self.codewords.shape}"
+                f"got {codewords.shape}"
             )
-        if not np.all(np.isfinite(self.codewords)):
+        if not np.all(np.isfinite(codewords)):
             raise ContractViolationError("codewords must be finite")
-        if self.usage_counts is None:
-            self.usage_counts = np.zeros(expected, dtype=np.uint64)
-        else:
-            self.usage_counts = np.asarray(self.usage_counts, dtype=np.uint64)
-            if self.usage_counts.shape != (expected,):
-                raise ContractViolationError("usage_counts shape mismatch")
+        counts = np.zeros(expected, dtype=np.uint64)
+        if self.usage_counts is not None:
+            counts = np.array(self.usage_counts, dtype=np.uint64)
+        if counts.shape != (expected,):
+            raise ContractViolationError("usage_counts shape mismatch")
+        for name, a in (("codewords", codewords), ("usage_counts", counts)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def size(self) -> int:
@@ -231,10 +235,26 @@ class Codebook:
     def stored_codewords(self) -> int:
         return self.size
 
-    @property
+    @functools.cached_property
     def table(self) -> entropy.HuffmanTable:
         """Huffman table of this codebook's indices, from its usage counts."""
         return entropy.table_from_counts(self.usage_counts, self.size)
+
+    @functools.cached_property
+    def tree(self) -> cKDTree:
+        """k-d tree over the codewords; None for a codebook small enough
+        that `_nearest` searches it by brute force."""
+        small = self.size < _TREE_MIN_CODEWORDS
+        return None if small else cKDTree(self.codewords)
+
+    @functools.cached_property
+    def grid(self):
+        """Candidate grid of `_frozen_nearest`; None where the codebook has
+        no tree, is too large or too wide, or every cell lists too many."""
+        if (self.tree is None or self.size > _GRID_MAX_CODEWORDS
+                or self.l_vq > _GRID_MAX_DIM):
+            return None
+        return _build_grid(self.codewords, self.tree)
 
 
 def codebook_size(l_vq: int, q_vq: int) -> int:
@@ -307,18 +327,6 @@ def _first_equal(codewords: np.ndarray):
     return first
 
 
-@functools.lru_cache(maxsize=8)
-def _cached_tree(key: bytes, l: int) -> cKDTree:
-    # built on a read-only view of the key, so the tree's data cannot change
-    return cKDTree(np.frombuffer(key).reshape(-1, l))
-
-
-def _tree(codewords: np.ndarray) -> cKDTree:
-    """k-d tree over `codewords`, memoised on their content."""
-    cw = np.ascontiguousarray(codewords, dtype=np.float64)
-    return _cached_tree(cw.tobytes(), cw.shape[1])
-
-
 def _check_finite(vectors: np.ndarray) -> None:
     if not np.isfinite(vectors).all():
         raise ContractViolationError("vectors must be finite")
@@ -329,13 +337,15 @@ def _tie_tolerance(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarray:
                         + np.einsum("kl,kl->k", codewords, codewords).max())
 
 
-def _nearest(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarray:
+def _nearest(vectors: np.ndarray, codewords: np.ndarray, tree=None):
     """Nearest-codeword index for every vector, exactly the brute-force
-    one (ties low) on both search paths; see the module docstring."""
+    one (ties low) on both search paths; see the module docstring. The
+    tree path searches `tree`, the codewords' k-d tree, or builds one."""
     _check_finite(vectors)
     if len(codewords) < _TREE_MIN_CODEWORDS:
         return _brute_nearest(vectors, codewords)
-    return _tree_nearest(vectors, codewords, _tree(codewords))[0]
+    tree = cKDTree(codewords) if tree is None else tree
+    return _tree_nearest(vectors, codewords, tree)[0]
 
 
 def _tree_nearest(vectors, codewords, tree):
@@ -375,20 +385,9 @@ class _Grid:
         return cell, outside
 
 
-# a few grids at most: one up to 65,536 codewords can hold 16 MiB
-@functools.lru_cache(maxsize=4)
-def _cached_grid(key: bytes, l: int):
-    return _build_grid(np.frombuffer(key).reshape(-1, l), _cached_tree(key, l))
-
-
-def _grid(codewords: np.ndarray):
-    """Candidate grid over `codewords`, memoised on their content; None when
-    every cell lists too many candidates."""
-    cw = np.ascontiguousarray(codewords, dtype=np.float64)
-    return _cached_grid(cw.tobytes(), cw.shape[1])
-
-
 def _build_grid(codewords, tree):
+    """Candidate grid over `codewords`, built through their k-d `tree`; None
+    when every cell lists too many candidates."""
     k, l = codewords.shape
     lo, hi = codewords.min(axis=0), codewords.max(axis=0)
     extent = hi - lo
@@ -431,16 +430,12 @@ def _build_grid(codewords, tree):
     return _Grid(lo, hi, shape, scale, counts, table[:slots].copy())
 
 
-def _frozen_nearest(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarray:
+def _frozen_nearest(vectors: np.ndarray, codewords: np.ndarray, grid, tree):
     """`_nearest` for a codebook that stays fixed across many searches (the
-    frame searches of compress): through its memoised candidate grid where
-    one applies, the same indices either way (module docstring)."""
-    k, l = codewords.shape
-    grid = None
-    if _GRID_MIN_CODEWORDS <= k <= _GRID_MAX_CODEWORDS and l <= _GRID_MAX_DIM:
-        grid = _grid(codewords)
+    frame searches of compress): through its candidate `grid` (or None) and
+    k-d `tree`, the same indices either way (module docstring)."""
     if grid is None:
-        return _nearest(vectors, codewords)
+        return _nearest(vectors, codewords, tree)
     _check_finite(vectors)
     n = len(vectors)
     idx = np.empty(n, dtype=np.int64)
@@ -477,7 +472,7 @@ def _frozen_nearest(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarray:
     rows = np.flatnonzero(tied & ~far)
     idx[rows] = _brute_nearest(vectors[rows], codewords)
     rows = np.flatnonzero(far)
-    idx[rows] = _nearest(vectors[rows], codewords)
+    idx[rows] = _nearest(vectors[rows], codewords, tree)
     return idx
 
 
@@ -565,7 +560,7 @@ def _bounded_nearest(vectors, old, new, idx, lo):
     rows = np.flatnonzero((b - u) * (b + u) <= gap)
     if rows.size == 0:
         return idx, lo
-    tree = _tree(new)
+    tree = cKDTree(new)
     # every other codeword is at least sep[a] - u from a vector of cell a
     owners = np.flatnonzero(np.bincount(idx[rows], minlength=len(new)))
     sep = np.zeros(len(new))
@@ -589,7 +584,7 @@ def _descent(vectors, init_codewords, stop: LloydStop, corpus_rms):
     lo = None
     if len(cw) >= _TREE_MIN_CODEWORDS:
         _check_finite(vectors)
-        idx, lo = _tree_nearest(vectors, cw, _tree(cw))
+        idx, lo = _tree_nearest(vectors, cw, cKDTree(cw))
     else:
         idx = _nearest(vectors, cw)
     idx, dist = _assign(vectors, cw, idx)
@@ -703,7 +698,8 @@ def quantize_batch(
     vecs = _as_vectors(vectors)
     if vecs.shape[1] != codebook.l_vq:
         raise ContractViolationError("vector length != codebook l_vq")
-    idx = _frozen_nearest(vecs, codebook.codewords)
+    cw = codebook.codewords
+    idx = _frozen_nearest(vecs, cw, codebook.grid, codebook.tree)
     if counter is not None:
         counter.add(codebook.size * len(vecs), len(vecs))
     return idx

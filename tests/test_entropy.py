@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fvq
 from fvq import entropy as ec
 from fvq import pipeline
 from fvq.bitio import unpack_bit_array
@@ -459,21 +460,51 @@ class TestCappedDoublingDecode:
 
 
 def _built_from_counts(counts):
-    """The table of `counts`, built without the table cache."""
+    """The table of `counts`, built independently of `table_from_counts`."""
     return ec.build_huffman((counts + 1.0) / (counts.sum() + len(counts)))
 
 
+def _no_builds(monkeypatch):
+    def build(pmf):
+        raise AssertionError("table built again")
+
+    monkeypatch.setattr(ec, "build_huffman", build)
+
+
 class TestTableCache:
-    def test_equal_counts_share_one_table(self, monkeypatch):
-        counts = np.random.default_rng(12).integers(0, 1000, 300)
-        table = ec.table_from_counts(counts, 300)
-        builds = []
-        monkeypatch.setattr(
-            ec, "build_huffman", lambda pmf: builds.append(pmf) or None
+    """A codebook builds its table once and keeps it; other counts make
+    another codebook, with a table of its own."""
+
+    def test_table_built_once_per_codebook(self, monkeypatch):
+        quantizer = pipeline.VqSpec(2, 4)
+        prof = pipeline.CompressionProfile(quantizer=quantizer)
+        cb = seeded_codebooks(quantizer, seed=12)
+        frame = pipeline.compress(make_corpus(1, seed=12), prof, cb).to_bytes()
+        table = cb.table
+        np.testing.assert_array_equal(
+            table.code_lengths, _built_from_counts(cb.usage_counts).code_lengths
         )
+        _no_builds(monkeypatch)
         for _ in range(3):
-            assert ec.table_from_counts(counts.copy(), 300) is table
-        assert builds == []
+            assert cb.table is table
+            again = pipeline.compress(make_corpus(1, seed=12), prof, cb)
+            assert again.to_bytes() == frame
+        assert not table.code_lengths.flags.writeable
+        assert not table.codes.flags.writeable
+        monkeypatch.undo()
+        twin = fvq.Codebook(2, 4, cb.codewords, cb.usage_counts)
+        assert twin.table is not table
+        np.testing.assert_array_equal(twin.table.codes, table.codes)
+
+    def test_stage2_table_built_once(self, monkeypatch):
+        cb = seeded_codebooks(pipeline.MsvqSpec(2, 2, 2), seed=13)
+        table = cb.stage2_table
+        pooled = np.sum([sub.usage_counts for sub in cb.stage2], axis=0)
+        np.testing.assert_array_equal(
+            table.code_lengths, _built_from_counts(pooled).code_lengths
+        )
+        _no_builds(monkeypatch)
+        assert cb.stage2_table is table
         assert not table.code_lengths.flags.writeable
 
     def test_alphabet_size_is_part_of_the_key(self):
@@ -494,33 +525,47 @@ class TestTableCache:
         out = pipeline.decompress(frame.to_bytes(), prof, cb)
         return prof, cb, frame, out.samples
 
-    def test_vq_counts_changed_in_place(self):
+    def test_vq_new_counts_new_table(self):
         prof, cb, before, samples = self._round_trip(pipeline.VqSpec(2, 3), 21)
-        old = _built_from_counts(cb.usage_counts)
-        cb.usage_counts[:] = 0
-        cb.usage_counts[5] = 10**6  # codeword 5 gets a 1-bit code
-        new = _built_from_counts(cb.usage_counts)
-        after = pipeline.compress(make_corpus(1, seed=21), prof, cb)
+        with pytest.raises(ValueError):
+            cb.usage_counts[5] = 10**6
+        counts = np.zeros(cb.size)
+        counts[5] = 10**6  # codeword 5 gets a 1-bit code
+        new = fvq.Codebook(cb.l_vq, cb.q_vq, cb.codewords, counts)
+        assert new.table is not cb.table and new.table.code_lengths[5] == 1
+        np.testing.assert_array_equal(
+            new.table.code_lengths, _built_from_counts(counts).code_lengths
+        )
+        after = pipeline.compress(make_corpus(1, seed=21), prof, new)
         n = before.section(pipeline.SEC_VQ_IDX).item_count
         np.testing.assert_array_equal(
-            ec.decode(new, after.section(pipeline.SEC_VQ_IDX).payload, n),
-            ec.decode(old, before.section(pipeline.SEC_VQ_IDX).payload, n),
+            ec.decode(new.table, after.section(pipeline.SEC_VQ_IDX).payload, n),
+            ec.decode(cb.table, before.section(pipeline.SEC_VQ_IDX).payload, n),
         )
         assert after.to_bytes() != before.to_bytes()
-        out = pipeline.decompress(after.to_bytes(), prof, cb)
-        np.testing.assert_array_equal(out.samples, samples)
+        # each frame decodes under the codebook that coded it
+        for frame, book in ((after, new), (before, cb)):
+            out = pipeline.decompress(frame.to_bytes(), prof, book)
+            np.testing.assert_array_equal(out.samples, samples)
 
     def test_msvq_stage2_counts_changed(self):
         prof, cb, before, samples = self._round_trip(
             pipeline.MsvqSpec(2, 2, 2), 23
         )
+        stage2 = []
         for sub in cb.stage2:
-            sub.usage_counts[::2] += 500
-        after = pipeline.compress(make_corpus(1, seed=23), prof, cb)
+            counts = sub.usage_counts.copy()
+            counts[::2] += 500
+            stage2.append(fvq.Codebook(sub.l_vq, sub.q_vq, sub.codewords,
+                                       counts))
+        new = fvq.MsvqCodebook(cb.stage1, stage2, cb.l, cb.q1, cb.q2)
+        assert new.stage2_table is not cb.stage2_table
+        after = pipeline.compress(make_corpus(1, seed=23), prof, new)
         assert (after.section(pipeline.SEC_MSVQ_I2).payload
                 != before.section(pipeline.SEC_MSVQ_I2).payload)
-        out = pipeline.decompress(after.to_bytes(), prof, cb)
-        np.testing.assert_array_equal(out.samples, samples)
+        for frame, book in ((after, new), (before, cb)):
+            out = pipeline.decompress(frame.to_bytes(), prof, book)
+            np.testing.assert_array_equal(out.samples, samples)
 
 
 class TestGain:

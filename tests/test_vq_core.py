@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import pickle
 import tracemalloc
@@ -7,6 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from fvq import entropy, frontend, msvq, pipeline, upmgq, vq_core
 from fvq.errors import ContractViolationError, FormatError
@@ -109,15 +111,21 @@ class TestNearest:
 
 
 def _forced(path):
-    """Patch the search thresholds so every search takes `path`: "brute",
-    "tree", or "grid" (every codebook `_frozen_nearest` searches is gridded
-    when its dimension allows; the others take the tree)."""
+    """Patch the search threshold so every `_nearest` search of plain
+    codewords takes `path`: "brute" or "tree"."""
     never = np.iinfo(np.int64).max
-    tree, grid = {"brute": (never, never), "tree": (0, never),
-                  "grid": (0, 1)}[path]
-    return mock.patch.multiple(
-        vq_core, _TREE_MIN_CODEWORDS=tree, _GRID_MIN_CODEWORDS=grid
+    return mock.patch.object(
+        vq_core, "_TREE_MIN_CODEWORDS", {"brute": never, "tree": 0}[path]
     )
+
+
+def _grid_and_tree(codewords):
+    """A codebook's grid and tree, built from bare codewords of any count
+    (a `Codebook` has 2^(l*q)); no grid above `_GRID_MAX_DIM`."""
+    tree = cKDTree(codewords)
+    if codewords.shape[1] > vq_core._GRID_MAX_DIM:
+        return None, tree
+    return vq_core._build_grid(codewords, tree), tree
 
 
 def _search_case(l, k, n, kind, equal_rows, seed):
@@ -154,15 +162,16 @@ def _grid_case(l, k, n, kind, equal_rows, edge_rows, seed):
         vectors, codewords = _search_case(l, k, n, kind, 0, seed)
     m = min(equal_rows, n)
     vectors[:m] = codewords[rng.integers(0, k, m)]
-    grid = vq_core._grid(codewords)
+    grid, tree = _grid_and_tree(codewords)
     if grid is None:
-        return vectors, codewords
+        return vectors, codewords, grid, tree
     step = (grid.hi - grid.lo) / grid.shape
     edges = grid.lo + rng.integers(0, np.add(grid.shape, 1), (edge_rows, l)) * step
     outside = np.stack([np.nextafter(grid.lo, -np.inf),
                         np.nextafter(grid.hi, np.inf),
                         grid.lo - step, grid.hi + 3 * step])
-    return np.concatenate([vectors, edges, outside, [grid.lo, grid.hi]]), codewords
+    vectors = np.concatenate([vectors, edges, outside, [grid.lo, grid.hi]])
+    return vectors, codewords, grid, tree
 
 
 class TestSearchPaths:
@@ -186,8 +195,10 @@ class TestSearchPaths:
         with _forced("tree"):
             t_idx, t_dist = vq_core._assign(vectors, codewords)
         d_idx, d_dist = vq_core._assign(vectors, codewords)
-        with _forced("grid"):
-            g_idx = vq_core._frozen_nearest(vectors, codewords)
+        # every size gridded where the dimension allows; the tree elsewhere
+        grid, tree = _grid_and_tree(codewords)
+        with _forced("tree"):
+            g_idx = vq_core._frozen_nearest(vectors, codewords, grid, tree)
         for idx, dist in ((t_idx, t_dist), (d_idx, d_dist)):
             assert idx.dtype == b_idx.dtype == np.int64
             assert idx.tobytes() == b_idx.tobytes()
@@ -207,10 +218,12 @@ class TestSearchPaths:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_grid_equals_brute(self, l, k, n, kind, equal_rows, edge_rows, seed):
-        vectors, codewords = _grid_case(l, k, n, kind, equal_rows, edge_rows, seed)
+        vectors, codewords, grid, tree = _grid_case(
+            l, k, n, kind, equal_rows, edge_rows, seed
+        )
         with _forced("brute"):
             want = vq_core._nearest(vectors, codewords)
-        got = vq_core._frozen_nearest(vectors, codewords)
+        got = vq_core._frozen_nearest(vectors, codewords, grid, tree)
         assert got.dtype == np.int64
         assert got.tobytes() == want.tobytes()
         q, rem = divmod(k.bit_length() - 1, l)
@@ -266,42 +279,75 @@ class TestSearchPaths:
 
         with mock.patch.object(vq_core, "_tree_nearest", counted):
             idx = quantize_batch(cb, vectors)
-        with _forced("tree"):
-            assert idx.tobytes() == quantize_batch(cb, vectors).tobytes()
+        want = vq_core._tree_nearest(vectors, cb.codewords, cb.tree)[0]
+        assert idx.tobytes() == want.tobytes()
         assert sum(searched) < 0.01 * len(vectors)
 
-    def test_grid_memoised_on_content(self):
-        cw = np.random.default_rng(53).uniform(-8, 8, (512, 2))
-        grid = vq_core._grid(cw)
+    def test_grid_built_once_per_codebook(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        cb = Codebook(2, 5, rng.uniform(-8, 8, (1024, 2)))
+        vectors = rng.uniform(-9, 9, (2000, 2))  # some outside the box
+        idx = quantize_batch(cb, vectors)
+        grid = cb.grid
         assert grid is not None
-        assert vq_core._grid(cw.copy()) is grid
-        cw[0, 0] += 1.0
-        assert vq_core._grid(cw) is not grid
+
+        def rebuilt(*args):
+            raise AssertionError("grid built again")
+
+        monkeypatch.setattr(vq_core, "_build_grid", rebuilt)
+        for _ in range(3):
+            assert quantize_batch(cb, vectors).tobytes() == idx.tobytes()
+        assert cb.grid is grid
+        monkeypatch.undo()
+        # equal content is another codebook, with a grid of its own
+        twin = Codebook(2, 5, cb.codewords)
+        assert twin.grid is not grid
+        assert quantize_batch(twin, vectors).tobytes() == idx.tobytes()
+
+    @pytest.mark.parametrize("l, q, tree, grid", [
+        (2, 4, False, False),  # 256 words: brute force
+        (2, 5, True, True),
+        (4, 3, True, False),  # 4096 words in 4 dimensions: tree only
+    ])
+    def test_search_structures_by_geometry(self, l, q, tree, grid):
+        size = vq_core.codebook_size(l, q)
+        cb = Codebook(l, q, np.random.default_rng(q).normal(size=(size, l)))
+        assert (cb.tree is not None) == tree
+        assert (cb.grid is not None) == grid
 
     def test_grid_retains_little_memory(self):
         cw = np.random.default_rng(54).uniform(-8, 8, (4096, 2))
-        vq_core._tree(cw)  # memoised on its own, so not counted below
+        tree = cKDTree(cw)  # built first, so not counted below
         tracemalloc.start()
         try:
-            grid = vq_core._grid(cw)
+            grid = vq_core._build_grid(cw, tree)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert grid.table.dtype == np.uint16
         # 16,384 cells of one two-byte slot per candidate of the longest
-        # list (about 18 here), plus the cache key
+        # list (about 18 here)
         assert grid.counts.size == 16_384
         assert retained < 1 << 20
         assert peak < 8 << 20
 
-    def test_tree_memoised_on_content(self):
-        cw = np.random.default_rng(48).uniform(-8, 8, (512, 2))
-        tree = vq_core._tree(cw)
-        assert vq_core._tree(cw.copy()) is tree
+    def test_tree_built_once_per_codebook(self, monkeypatch):
+        rng = np.random.default_rng(48)
+        cw = rng.uniform(-8, 8, (512, 3))
+        cb = Codebook(3, 3, cw)
+        tree = cb.tree
+
+        def rebuilt(*args):
+            raise AssertionError("tree built again")
+
+        monkeypatch.setattr(vq_core, "cKDTree", rebuilt)
+        for _ in range(3):
+            quantize_batch(cb, rng.uniform(-9, 9, (500, 3)))
+        assert cb.tree is tree
+        # the tree keeps the content it was built from: the codebook holds
+        # a read-only copy of the caller's codewords
         cw[0, 0] += 1.0
-        assert vq_core._tree(cw) is not tree
-        # the cached tree keeps the content it was built from
-        assert tree.data[0, 0] == cw[0, 0] - 1.0
+        assert tree.data[0, 0] == cb.codewords[0, 0] == cw[0, 0] - 1.0
 
 
 def _reference_descent(vectors, init_codewords, stop, corpus_rms):
@@ -407,9 +453,7 @@ class TestBoundedDescent:
 
     def test_lower_bound_holds_with_ties(self):
         vectors, codewords = _search_case(2, 600, 3000, "integer", 20, 51)
-        idx, lo = vq_core._tree_nearest(
-            vectors, codewords, vq_core._tree(codewords)
-        )
+        idx, lo = vq_core._tree_nearest(vectors, codewords, cKDTree(codewords))
         d = np.sqrt(((vectors[:, None, :] - codewords[None]) ** 2).sum(-1))
         d[np.arange(len(vectors)), idx] = np.inf
         assert (lo <= d.min(axis=1) * (1 + 1e-12)).all()
@@ -637,10 +681,30 @@ class TestQuantize:
         assert counter.evals_per_item == cb.size
 
 
+class TestCodebookValue:
+    def test_arrays_are_read_only_copies(self):
+        rng = np.random.default_rng(17)
+        cw, counts = rng.normal(size=(8, 1)), np.arange(8)
+        cb = Codebook(1, 3, cw, counts)
+        for array in (cb.codewords, cb.usage_counts):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 5
+        cw[0], counts[0] = 99.0, 99
+        assert cb.codewords[0, 0] != 99.0 and cb.usage_counts[0] == 0
+        assert Codebook(1, 3, cw).usage_counts.tolist() == [0] * 8
+
+    @pytest.mark.parametrize("field", ["codewords", "usage_counts", "q_vq"])
+    def test_fields_cannot_be_rebound(self, field):
+        cb = _random_codebook(2, 3, seed=18)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cb, field, getattr(cb, field))
+
+
 class TestCodebookIo:
     def test_round_trip(self):
-        cb = _random_codebook(2, 3, seed=15)
-        cb.usage_counts[:] = np.arange(cb.size)
+        cw = _random_codebook(2, 3, seed=15).codewords
+        cb = Codebook(2, 3, cw, np.arange(len(cw)))
         buf = io.BytesIO()
         save_codebook(cb, buf)
         buf.seek(0)
