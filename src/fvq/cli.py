@@ -96,14 +96,16 @@ def _profile_from(config: dict) -> pipeline.CompressionProfile:
 
 
 def _waveform_config(block: dict) -> tuple[waveform.WaveformConfig, str]:
-    block = dict(block or {})
-    if isinstance(block.get("snr_db"), str):
-        block["snr_db"] = float(block["snr_db"])
-    if block.get("snr_db") is None:
-        block["snr_db"] = math.inf
-    channel = block.pop("channel", "awgn")
-    cfg = waveform.WaveformConfig(**block)
-    return cfg, channel
+    try:
+        block = dict(block or {})
+        snr_db = block.get("snr_db")
+        block["snr_db"] = math.inf if snr_db is None else float(snr_db)
+        channel = block.pop("channel", "awgn")
+        return waveform.WaveformConfig(**block), channel
+    except (TypeError, ValueError) as exc:
+        raise ContractViolationError(
+            f"malformed waveform block: {exc}"
+        ) from exc
 
 
 def _gen_corpus(block: dict):

@@ -351,8 +351,9 @@ class RawSpec:
         peak = float(np.max(np.abs(comps))) if comps.size else 0.0
         half = 1 << (profile.q0 - 1)
         bits.raw_scale = (half - 1) / peak if peak > 0 else 1.0
-        codes = np.round(comps * bits.raw_scale).astype(np.int64) + half
-        codes = np.clip(codes, 0, 2 * half - 1)
+        # clipped before the offset, so a 63-bit code cannot overflow
+        codes = np.round(comps * bits.raw_scale).astype(np.int64)
+        codes = np.clip(codes, -half, half - 1) + half
         bits.sections.append(_section(SEC_RAW, codes, profile.q0, None))
         bits.stats.n_vectors = len(codes)
 
@@ -413,8 +414,12 @@ class CompressionProfile:
                 "symbol timing is unknown at the radio unit)"
             )
         self.vector_method = VectorLayout(self.vector_method)
-        if self.q0 < 1:
-            raise ContractViolationError("q0 must be positive")
+        if not 1 <= self.q0 <= 63:
+            raise ContractViolationError("q0 must be in 1..63")
+        if not 0 <= self.vector_seed < 1 << 64:
+            raise ContractViolationError("vector_seed must be in 0..2^64-1")
+        if self.l_sym < 1:
+            raise ContractViolationError("l_sym must be positive")
         frontend_stages(self)  # each stage refuses a geometry it cannot run
 
     def utilized_band(self) -> np.ndarray:

@@ -75,6 +75,8 @@ class WaveformConfig:
             raise ContractViolationError("cp_length must be in 0..fft_size-1")
         if self.num_symbols < 0:
             raise ContractViolationError("num_symbols must be >= 0")
+        if self.seed < 0:
+            raise ContractViolationError("seed must be >= 0")
 
     @property
     def symbol_length(self) -> int:

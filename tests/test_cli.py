@@ -35,6 +35,11 @@ def _run(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestGen:
     def test_deterministic_rerun(self, profile_path, tmp_path):
         a, b = tmp_path / "a.iqf", tmp_path / "b.iqf"
@@ -55,6 +60,16 @@ class TestGen:
         assert _run("gen", "--profile", profile_path, "--out", out) == 0
         captured = capsys.readouterr().out
         assert "measured SNR" in captured
+
+    @pytest.mark.parametrize("override", [
+        "waveform.bogus=1", 'waveform.num_symbols="x"',
+        'waveform.modulation="qam256"', 'waveform.link="sideways"',
+        'waveform.snr_db="abc"', "waveform=5", "waveform.seed=-1",
+    ])
+    def test_malformed_waveform_exit_code_4(self, profile_path, tmp_path,
+                                            override):
+        assert _run("gen", "--profile", profile_path, "--set", override,
+                    "--out", tmp_path / "c.iqf") == 4
 
     def test_sidecar_written(self, profile_path, tmp_path):
         out = tmp_path / "c.iqf"
@@ -218,6 +233,30 @@ class TestTrainCompressDecompress:
                   "--in", corpus, "--out", tmp_path / "c.cpz")
         assert rc == 4
 
+    @pytest.mark.parametrize("overrides", [
+        ["vector_seed=-1"],
+        ["vector_seed=18446744073709551616"],
+        ['quantizer={"kind": "raw"}', "q0=64"],
+        ['link="downlink"', "cp_removal=true", "l_sym=0"],
+    ], ids=lambda o: " ".join(o))
+    def test_profile_value_that_cannot_run_exit_code_4(
+        self, profile_path, tmp_path, overrides
+    ):
+        corpus = tmp_path / "c.iqf"
+        assert _run("gen", "--profile", profile_path, "--out", corpus) == 0
+        sets = [arg for o in overrides for arg in ("--set", o)]
+        rc = _run("compress", "--profile", profile_path, *sets,
+                  "--in", corpus, "--out", tmp_path / "c.cpz")
+        assert rc == 4
+
+    def test_upmgq_q0_beyond_a_byte_exit_code_4(self, profile_path, tmp_path):
+        # the UPMG header stores q0 in one byte
+        corpus = tmp_path / "c.iqf"
+        assert _run("gen", "--profile", profile_path, "--out", corpus) == 0
+        assert _run("train", "--profile", profile_path, "--in", corpus,
+                    "--set", f"quantizer={json.dumps(QUANTIZERS[2])}",
+                    "--set", "q0=256", "--out", tmp_path / "cb.upmg") == 4
+
     def test_vq_without_index_bits_exit_code_4(self, profile_path, tmp_path):
         corpus, cb = tmp_path / "c.iqf", tmp_path / "cb.vqcb"
         fvq.save_codebook(fvq.Codebook(2, 0, np.zeros((1, 2))), cb)
@@ -312,7 +351,8 @@ class TestSweep:
     def test_empty_sweep_header_only(self, profile_path, tmp_path):
         out = tmp_path / "sweep.csv"
         assert _run("sweep", "--profile", profile_path, "--out", out) == 0
-        rows = list(csv.reader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.reader(fh))
         assert len(rows) == 1
         assert rows[0][0] == "label"
 
@@ -331,7 +371,7 @@ class TestSweep:
         p.write_text(json.dumps(config))
         out = tmp_path / "sweep.csv"
         assert _run("sweep", "--profile", p, "--out", out) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = _csv_rows(out)
         assert {r["label"] for r in rows} == {"vq_l2q3", "sq_q4"}
         for r in rows:
             assert float(r["cr_measured"]) > 1.0
@@ -343,14 +383,14 @@ class TestStats:
     def test_reports_written(self, profile_path, tmp_path):
         out_dir = tmp_path / "stats"
         assert _run("stats", "--profile", profile_path, "--out", out_dir) == 0
-        ent = list(csv.DictReader((out_dir / "orthant_entropy.csv").open()))
+        ent = _csv_rows(out_dir / "orthant_entropy.csv")
         methods = {r["method"] for r in ent}
         assert len(methods) == 3
         by_key = {(r["method"], r["l_vq"]): float(r["entropy_bits"]) for r in ent}
         m1 = by_key[("method1_consecutive_same_component", "3")]
         m3 = by_key[("method3_random", "3")]
         assert m1 < m3
-        lev = list(csv.DictReader((out_dir / "level_statistics.csv").open()))
+        lev = _csv_rows(out_dir / "level_statistics.csv")
         sign_rows = [r for r in lev if r["level"] == "sign"]
         assert abs(float(sign_rows[0]["p_one"]) - 0.5) < 0.05
 
@@ -368,7 +408,7 @@ class TestStats:
         out_dir = tmp_path / "stats2"
         assert _run("stats", "--profile", p, "--in", const,
                     "--out", out_dir) == 0
-        ent = list(csv.DictReader((out_dir / "orthant_entropy.csv").open()))
+        ent = _csv_rows(out_dir / "orthant_entropy.csv")
         for r in ent:
             if r["method"] == "method1_consecutive_same_component":
                 assert float(r["entropy_bits"]) == 0.0

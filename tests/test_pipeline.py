@@ -94,6 +94,26 @@ class TestProfile:
         with pytest.raises(ContractViolationError):
             CompressionProfile.from_dict(profile)
 
+    @pytest.mark.parametrize("profile", [
+        {"vector_seed": -1}, {"vector_seed": 1 << 64}, {"vector_seed": "x"},
+        {"q0": 0}, {"q0": 64}, {"q0": 256},
+        {"l_sym": 0}, {"l_sym": -1024},
+        {"link": "downlink", "cp_removal": True, "l_sym": 0},
+    ], ids=lambda d: json.dumps(d))
+    def test_value_that_cannot_run_refused(self, profile):
+        # each of these used to end in struct.error, OverflowError or
+        # ZeroDivisionError inside the chain
+        with pytest.raises(ContractViolationError):
+            CompressionProfile.from_dict(profile)
+
+    @pytest.mark.parametrize("profile", [
+        {"vector_seed": 0}, {"vector_seed": (1 << 64) - 1},
+        {"q0": 1}, {"q0": 63}, {"l_sym": 1},
+    ], ids=lambda d: json.dumps(d))
+    def test_bounds_allowed(self, profile):
+        prof = CompressionProfile.from_dict(profile)
+        assert CompressionProfile.from_dict(prof.to_dict()) == prof
+
     def test_widest_scale_factor_allowed(self):
         assert CompressionProfile.from_dict(
             {"block_scaling": {"q_bs": 64}}
@@ -137,6 +157,22 @@ class TestRawPassthrough:
         assert compression_ratio(prof, bits.stats) == pytest.approx(1.0)
         out = pipeline.decompress(bits.to_bytes(), prof)
         assert fvq.evm_td(s, out) < 0.02
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q0", [2, 15, 62, 63])
+    def test_every_code_width_round_trips(self, q0):
+        # the peak maps to the top code, 2^q0 - 1, with no int64 overflow
+        # (and -peak to code 1, or 0 where half - 1 rounds to half)
+        prof = CompressionProfile(
+            link="uplink", quantizer=RawSpec(), entropy_coding=False, q0=q0
+        )
+        s = fvq.IQStream(np.array([0.5 + 0.25j, -1.0 + 1.0j, 0.1 - 0.3j]))
+        frame = pipeline.compress(s, prof)
+        codes = unpack_fixed(frame.section(pipeline.SEC_RAW).payload, q0, 6)
+        assert codes.max() == (1 << q0) - 1 and codes.min() <= 1
+        out = pipeline.decompress(frame.to_bytes(), prof)
+        step = 2.0 / ((1 << q0) - 2)  # two codes per unit of peak, less one
+        assert np.abs(out.samples - s.samples).max() <= step
 
     @pytest.mark.parametrize("scale", [0.0, math.nan, math.inf, -1.0])
     def test_hostile_raw_scale_is_malformed(self, scale):
