@@ -88,6 +88,8 @@ def read_iqf1(path) -> IQStream:
             f"{path}: expected {8 * m} payload bytes, found {len(body)}"
         )
     interleaved = np.frombuffer(body, dtype="<f4")
+    if not np.isfinite(interleaved).all():
+        raise FormatError(f"{path}: samples must be finite")
     samples = interleaved[0::2].astype(np.float64) + 1j * interleaved[
         1::2
     ].astype(np.float64)

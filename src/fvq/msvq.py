@@ -30,7 +30,9 @@ from .vq_core import (
     LloydStop,
     SearchCounter,
     _as_vectors,
+    _field_state,
     _nearest,
+    _refuse_trailing,
     codebook_size,
     load_codebook,
     quantize_batch,
@@ -51,12 +53,15 @@ class MsvqCodebook:
     compared by identity, like `Codebook`."""
 
     stage1: Codebook
-    stage2: list  # one Codebook per stage-1 cell, in index order
+    stage2: tuple  # one Codebook per stage-1 cell, in index order
     l: int
     q1: int
     q2: int
 
+    __getstate__ = _field_state
+
     def __post_init__(self):
+        object.__setattr__(self, "stage2", tuple(self.stage2))
         want = [(self.l, self.q1)] + [(self.l, self.q2)] * self.stage1.size
         if [(cb.l_vq, cb.q_vq) for cb in [self.stage1, *self.stage2]] != want:
             raise ContractViolationError(
@@ -207,6 +212,7 @@ def load_msvq(path) -> MsvqCodebook:
         if (stage1.l_vq, stage1.q_vq) != (l, q1):
             raise FormatError("stage-1 block geometry mismatch")
         stage2 = [load_codebook(fh) for _ in range(stage1.size)]
+        _refuse_trailing(fh, "VQMS")
     try:
         return MsvqCodebook(stage1, stage2, l, q1, q2)
     except ContractViolationError as exc:

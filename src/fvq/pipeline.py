@@ -133,6 +133,8 @@ class _IndexQuantizer:
     `_read_streams`; with entropy coding off the codebook is not read),
     `search` (every stage's indices) and `reconstruct` (vectors from them)."""
 
+    min_q0 = 1
+
     def __post_init__(self):
         # the CR accounting divides by the summed index width
         if sum(w for _, w, _, _ in self.streams(None, False)) == 0:
@@ -270,6 +272,7 @@ class UpmgqSpec(UpmgqConfig):
     g3_entropy: bool = False
 
     kind = "upmgq"
+    min_q0 = 1
 
     @property
     def scale_bits(self):
@@ -332,6 +335,7 @@ class RawSpec:
     """Test hook: q0-bit fixed-point passthrough, no codebook."""
 
     kind = "raw"
+    min_q0 = 2  # at q0 = 1 the passthrough's one level would scale by 0
 
     @property
     def scale_bits(self):
@@ -414,8 +418,11 @@ class CompressionProfile:
                 "symbol timing is unknown at the radio unit)"
             )
         self.vector_method = VectorLayout(self.vector_method)
-        if not 1 <= self.q0 <= 63:
-            raise ContractViolationError("q0 must be in 1..63")
+        low = self.quantizer.min_q0
+        if not low <= self.q0 <= 63:
+            raise ContractViolationError(
+                f"q0 must be in {low}..63 for a {self.quantizer.kind} quantizer"
+            )
         if not 0 <= self.vector_seed < 1 << 64:
             raise ContractViolationError("vector_seed must be in 0..2^64-1")
         if self.l_sym < 1:

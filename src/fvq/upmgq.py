@@ -75,7 +75,7 @@ class UpmgqConfig:
             raise ContractViolationError("resolution overflows")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class UpmgqCodebook:
     """G2 codebook and G3 geometry; compared by identity, like `Codebook`."""
 

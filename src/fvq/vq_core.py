@@ -12,7 +12,7 @@ VQ, each MSVQ stage and UPMGQ's G2 are `Codebook`s: values, trained once
 and then used unchanged. Codewords and usage counts are read-only copies;
 the k-d tree (`tree`), candidate grid (`grid`) and Huffman table (`table`,
 from the usage counts) are each built on first use and kept with the
-codebook. `trainer(name)` gives a trainer.
+codebook, but not pickled with it. `trainer(name)` gives a trainer.
 
 Nearest-codeword search (`_nearest`) has two paths, chosen by codebook size
 K. Below `_TREE_MIN_CODEWORDS` it is brute force: one matrix product per
@@ -93,7 +93,7 @@ import functools
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -197,6 +197,13 @@ class LloydStop:
             raise ContractViolationError("rel_improvement_eps must be > 0")
 
 
+def _field_state(codebook) -> dict:
+    """A frozen codebook's pickled state: its fields only, so a used
+    codebook pickles as it did fresh and builds its cached values again on
+    first use after loading."""
+    return {f.name: getattr(codebook, f.name) for f in fields(codebook)}
+
+
 @dataclass(frozen=True, eq=False)
 class Codebook:
     """A VQ codebook, immutable (module docstring); compared by identity,
@@ -226,6 +233,13 @@ class Codebook:
         for name, a in (("codewords", codewords), ("usage_counts", counts)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+
+    __getstate__ = _field_state
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        self.codewords.setflags(write=False)
+        self.usage_counts.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -735,10 +749,19 @@ def save_codebook(codebook: Codebook, path_or_fh) -> None:
 
 
 def load_codebook(path_or_fh) -> Codebook:
+    """A VQCB block read from a stream, or a VQCB file, which must end with
+    the block."""
     if hasattr(path_or_fh, "read"):
         return _read_codebook(path_or_fh)
     with open(path_or_fh, "rb") as fh:
-        return _read_codebook(fh)
+        cb = _read_codebook(fh)
+        _refuse_trailing(fh, "VQCB")
+        return cb
+
+
+def _refuse_trailing(fh, what: str):
+    if fh.read(1):
+        raise FormatError(f"trailing bytes after the {what} body")
 
 
 def _read_codebook(fh) -> Codebook:

@@ -223,6 +223,13 @@ class TestIo:
         for a, b in zip(loaded.stage2, cb.stage2):
             np.testing.assert_array_equal(a.usage_counts, b.usage_counts)
 
+    def test_trailing_byte_refused(self, tmp_path):
+        path = tmp_path / "cb.vqms"
+        ms.save_msvq(seeded_codebooks(MsvqSpec(1, 1, 2), seed=24), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing"):
+            ms.load_msvq(path)
+
     def test_stage_2_blocks_must_have_q2_geometry(self, tmp_path):
         # a q2 = 0 header over 4-codeword stage-2 blocks
         rng = np.random.default_rng(22)

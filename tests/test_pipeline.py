@@ -174,6 +174,14 @@ class TestRawPassthrough:
         step = 2.0 / ((1 << q0) - 2)  # two codes per unit of peak, less one
         assert np.abs(out.samples - s.samples).max() <= step
 
+    def test_one_bit_code_refused(self):
+        # its one level would scale every sample by 0, a frame decompress
+        # refuses; other quantizers take q0 = 1 (TestProfile)
+        with pytest.raises(ContractViolationError, match="q0 must be in 2"):
+            CompressionProfile(
+                link="uplink", quantizer=RawSpec(), entropy_coding=False, q0=1
+            )
+
     @pytest.mark.parametrize("scale", [0.0, math.nan, math.inf, -1.0])
     def test_hostile_raw_scale_is_malformed(self, scale):
         # the README worked example's frame with its raw-mode scale replaced

@@ -700,6 +700,46 @@ class TestCodebookValue:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cb, field, getattr(cb, field))
 
+    @pytest.mark.parametrize("spec, field", [
+        (pipeline.MsvqSpec(2, 2, 2), "stage2"),
+        (pipeline.MsvqSpec(2, 2, 2), "q1"),
+        (pipeline.UpmgqSpec(-1, 3, 2, 2, 6), "theta"),
+        (pipeline.UpmgqSpec(-1, 3, 2, 2, 6), "high_vq"),
+    ], ids=["msvq stage2", "msvq q1", "upmgq theta", "upmgq high_vq"])
+    def test_composite_fields_cannot_be_rebound(self, spec, field):
+        cb = seeded_codebooks(spec, seed=19)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cb, field, getattr(cb, field))
+
+    def test_msvq_stage2_is_a_tuple(self):
+        cb = seeded_codebooks(pipeline.MsvqSpec(2, 2, 2), seed=20)
+        assert isinstance(cb.stage2, tuple) and len(cb.stage2) == 16
+
+    @pytest.mark.parametrize("spec", [
+        pipeline.VqSpec(2, 6), pipeline.MsvqSpec(3, 3, 2),
+        pipeline.UpmgqSpec(-1, 5, 2, 3, 6),
+    ], ids=["vq", "msvq", "upmgq"])
+    def test_used_codebook_pickles_as_fresh(self, spec):
+        # the tree, grid and tables built on first use are not pickled
+        cb = seeded_codebooks(spec, seed=21)
+        fresh = pickle.dumps(cb)
+        prof = pipeline.CompressionProfile(quantizer=spec)
+        stream = IQStream(np.random.default_rng(22).normal(size=600) * 8 + 0j)
+        pipeline.compress(stream, prof, cb)
+        assert pickle.dumps(cb) == fresh
+
+    def test_unpickled_arrays_are_read_only(self):
+        cb = _random_codebook(2, 6, seed=23)
+        cb.table, cb.grid
+        back = pickle.loads(pickle.dumps(cb))
+        for array in (back.codewords, back.usage_counts):
+            with pytest.raises(ValueError):
+                array[0] = 5
+        np.testing.assert_array_equal(back.codewords, cb.codewords)
+        np.testing.assert_array_equal(
+            back.table.code_lengths, cb.table.code_lengths
+        )
+
 
 class TestCodebookIo:
     def test_round_trip(self):
@@ -727,6 +767,13 @@ class TestCodebookIo:
         p = tmp_path / "bad.vqcb"
         p.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
         with pytest.raises(FormatError):
+            load_codebook(p)
+
+    def test_trailing_byte_refused(self, tmp_path):
+        p = tmp_path / "t.vqcb"
+        save_codebook(_random_codebook(1, 2, seed=17), p)
+        p.write_bytes(p.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing"):
             load_codebook(p)
 
     def test_truncated(self, tmp_path):
