@@ -8,17 +8,25 @@ and repeatable --set key=value overrides using dotted paths into that JSON
 <name>.meta.json sidecar with the fully resolved configuration so any run is
 reproducible from its logged snapshot.
 
+Every command parses the whole resolved profile (`_parse`) before any work
+starts, under one rule (`_block`): a value of the wrong type or shape, or a
+missing or unknown key, in the chain, in any block or in any sweep point is
+a contract violation. Nothing after parsing runs under that rule.
+
 Exit codes: 0 ok, 2 usage, 3 data/format error, 4 contract violation.
 """
 
 import argparse
 import csv
+import dataclasses
+import enum
 import json
 import logging
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,9 +37,16 @@ from .iqstream import read_iqf1, write_iqf1
 log = logging.getLogger("fvq")
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_CONTRACT = 4
+
+_BLOCKS = ("waveform", "training", "eval", "sweep")
+_TRAINING = {"trainer": str, "trials": int, "seed": int,
+             "max_iterations": int, "rel_improvement_eps": float}
+_EVAL = {"corpora": dict, "eval_seed_offset": int}
+_SWEEP = {"points": list, "eval_seed_offset": int}
+_POINT = {"label": str, "quantizer": dict, "profile": dict}
+_CHANNELS = {"awgn": None, "multipath": waveform.apply_static_multipath}
 
 
 def _parse_set(value):
@@ -43,18 +58,6 @@ def _parse_set(value):
     except json.JSONDecodeError:
         parsed = raw
     return key, parsed
-
-
-def _positive_count(value):
-    try:
-        count = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {value!r}"
-        ) from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
-    return count
 
 
 def _apply_overrides(config: dict, overrides):
@@ -69,7 +72,111 @@ def _apply_overrides(config: dict, overrides):
     return config
 
 
-def _load_config(args) -> dict:
+def _block(what, parse, *args):
+    """parse(*args) under the one rule for outside input: a value of the
+    wrong type or shape, or a missing or unknown key, is a contract
+    violation."""
+    try:
+        return parse(*args)
+    except ContractViolationError:
+        raise
+    except (TypeError, ValueError, LookupError, AttributeError) as exc:
+        raise ContractViolationError(f"malformed {what}: {exc!r}") from exc
+
+
+def _is_json(value, t) -> bool:
+    """Whether a JSON value has type t; an int is a float, an enum a str,
+    and a bool is neither an int nor a float."""
+    t = str if issubclass(t, enum.Enum) else (int, float) if t is float else t
+    return isinstance(value, t) and (t is bool or not isinstance(value, bool))
+
+
+def _typed(block, types) -> dict:
+    """block, if each key is in `types` and holds a value of its type."""
+    for key, value in block.items():
+        if not _is_json(value, types[key]):
+            raise TypeError(f"{key} must be {types[key].__name__}")
+    return block
+
+
+def _checked(obj, block):
+    """obj, built from `block`, if each value in the block has the type of
+    obj's field of that name (fields holding a dataclass likewise); the
+    constructors refuse unknown and missing keys themselves."""
+    for f in dataclasses.fields(obj):
+        attr = getattr(obj, f.name)
+        if dataclasses.is_dataclass(attr):
+            _checked(attr, block.get(f.name, {}))
+        elif f.name in block and attr is not None:
+            _typed({f.name: block[f.name]}, {f.name: f.type})
+    return obj
+
+
+def _profile_from(chain: dict) -> pipeline.CompressionProfile:
+    return _checked(pipeline.CompressionProfile.from_dict(chain), chain)
+
+
+def _waveforms(block, seed_offset):
+    """The (train, eval) (WaveformConfig, channel) pair of a "waveform"
+    block: the eval seed is the train seed plus `seed_offset`, and a null
+    or absent snr_db is noiseless."""
+    block = {**block}
+    channel = block.pop("channel", "awgn")
+    if channel not in _CHANNELS:
+        raise ValueError(f"unknown channel {channel!r}")
+    if block.get("snr_db") is None:
+        block["snr_db"] = math.inf
+    cfg = _checked(waveform.WaveformConfig(**block), block)
+    shifted = dataclasses.replace(cfg, seed=cfg.seed + seed_offset)
+    return (cfg, channel), (shifted, channel)
+
+
+def _training(block) -> dict:
+    """`train_for_profile` keywords for only the keys "training" sets."""
+    opts = {**_typed(block, _TRAINING)}
+    vq_core.trainer(opts.get("trainer", vq_core.MODIFIED))
+    stop = {k: opts.pop(k) for k in ("max_iterations", "rel_improvement_eps")
+            if k in opts}
+    if stop:
+        opts["stop"] = vq_core.LloydStop(**stop)
+    return opts
+
+
+def _point(point, chain):
+    """(label, quantizer JSON, profile) of one sweep point: the chain with
+    the point's "profile" keys and its quantizer."""
+    q = _typed(point, _POINT)["quantizer"]
+    profile = _profile_from({**chain, **point.get("profile", {}), "quantizer": q})
+    return point.get("label", profile.quantizer.kind), q, profile
+
+
+def _eval_corpora(block) -> dict:
+    """label -> (train, eval) waveform pair for each "eval" corpus."""
+    offset = _typed(block, _EVAL).get("eval_seed_offset", 7777)
+    return {label: _waveforms(wf, offset)
+            for label, wf in block["corpora"].items()}
+
+
+def _parse(config: dict) -> SimpleNamespace:
+    """Every block of a resolved config, parsed completely (`_block`)."""
+    chain = {k: v for k, v in config.items() if k not in _BLOCKS}
+    sweep = _block("sweep block", _typed, config.get("sweep", {}), _SWEEP)
+    return SimpleNamespace(
+        config=config,
+        profile=_block("profile", _profile_from, chain),
+        # (train, eval) waveforms, eval seeds shifted by the sweep's offset
+        waves=_block("waveform block", _waveforms, config.get("waveform", {}),
+                     sweep.get("eval_seed_offset", 7777)),
+        training=_block("training block", _training,
+                        config.get("training", {})),
+        corpora=_block("eval block", _eval_corpora,
+                       config.get("eval", {"corpora": {}})),
+        points=[_block(f"sweep point {i}", _point, p, chain)
+                for i, p in enumerate(sweep.get("points", []))],
+    )
+
+
+def _load(args) -> SimpleNamespace:
     config = {}
     if args.profile:
         try:
@@ -79,111 +186,60 @@ def _load_config(args) -> dict:
             raise FormatError(f"{args.profile}: {exc}") from exc
         if not isinstance(config, dict):
             raise FormatError(f"{args.profile}: profile must be a JSON object")
-    _apply_overrides(config, args.set or [])
-    if args.seed is not None:
-        config.setdefault("waveform", {})["seed"] = args.seed
-        config.setdefault("training", {})["seed"] = args.seed
-    return config
+    return _parse(_apply_overrides(config, args.set or []))
 
 
-def _profile_from(config: dict) -> pipeline.CompressionProfile:
-    chain = {
-        k: v
-        for k, v in config.items()
-        if k not in ("waveform", "training", "eval", "sweep")
-    }
-    return pipeline.CompressionProfile.from_dict(chain)
-
-
-def _waveform_config(block: dict) -> tuple[waveform.WaveformConfig, str]:
-    try:
-        block = dict(block or {})
-        snr_db = block.get("snr_db")
-        block["snr_db"] = math.inf if snr_db is None else float(snr_db)
-        channel = block.pop("channel", "awgn")
-        return waveform.WaveformConfig(**block), channel
-    except (TypeError, ValueError) as exc:
-        raise ContractViolationError(
-            f"malformed waveform block: {exc}"
-        ) from exc
-
-
-def _gen_corpus(block: dict):
-    cfg, channel = _waveform_config(block)
+def _gen_corpus(wave):
+    cfg, channel = wave
     stream = waveform.generate(cfg)
-    if channel == "multipath":
-        stream = waveform.apply_static_multipath(stream, cfg.seed)
-    elif channel != "awgn":
-        raise ContractViolationError(f"unknown channel {channel!r}")
+    if _CHANNELS[channel]:
+        stream = _CHANNELS[channel](stream, cfg.seed)
     stream.meta["channel"] = channel
     return stream
 
 
-def _corpus_pair(wf: dict, block: dict):
-    """(train, eval) corpora from one waveform block; the eval corpus's seed
-    is the train seed plus the block's eval_seed_offset (default 7777)."""
-    wf_eval = dict(wf)
-    wf_eval["seed"] = int(wf.get("seed", 0)) + int(
-        block.get("eval_seed_offset", 7777)
-    )
-    return _gen_corpus(wf), _gen_corpus(wf_eval)
+def _pooled(fn, items) -> list:
+    """list(map(fn, items)) on as many threads as this process has CPUs."""
+    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+        return list(pool.map(fn, items))
 
 
 def _write_sidecar(out_path, command, config):
     with open(f"{out_path}.meta.json", "w") as fh:
-        json.dump(
-            {"command": command, "resolved_config": config}, fh, indent=2,
-            sort_keys=True, default=str,
-        )
+        json.dump({"command": command, "resolved_config": config}, fh,
+                  indent=2, sort_keys=True, default=str)
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def cmd_gen(args) -> int:
-    config = _load_config(args)
-    stream = _gen_corpus(config.get("waveform", {}))
+    run = _load(args)
+    stream = _gen_corpus(run.waves[0])
     write_iqf1(stream, args.out)
-    _write_sidecar(args.out, "gen", config)
-    power = stream.power
+    _write_sidecar(args.out, "gen", run.config)
     print(f"wrote {args.out}: {len(stream)} samples @ {stream.sample_rate} Hz, "
-          f"mean power {power:.6f}")
-    snr = config.get("waveform", {}).get("snr_db")
-    if snr is not None and not math.isinf(float(snr)) and len(stream):
-        clean_cfg = dict(config["waveform"])
-        clean_cfg["snr_db"] = math.inf
-        clean = _gen_corpus(clean_cfg)
+          f"mean power {stream.power:.6f}")
+    cfg, channel = run.waves[0]
+    if not math.isinf(cfg.snr_db) and len(stream):
+        clean = _gen_corpus((dataclasses.replace(cfg, snr_db=math.inf), channel))
         noise = stream.samples - clean.samples
         p_noise = float(np.mean(np.abs(noise) ** 2))
         measured = 10 * math.log10(clean.power / p_noise) if p_noise else math.inf
-        print(f"measured SNR {measured:.2f} dB (requested {float(snr):.2f})")
+        print(f"measured SNR {measured:.2f} dB (requested {cfg.snr_db:.2f})")
     return EXIT_OK
 
 
-def _trainer_opts(config):
-    """`train_for_profile` keywords for only the keys "training" sets."""
-    casts = {"trainer": str, "trials": int, "seed": int,
-             "max_iterations": int, "rel_improvement_eps": float}
-    try:
-        block = dict(config.get("training", {}))
-        opts = {k: cast(block[k]) for k, cast in casts.items() if k in block}
-    except (TypeError, ValueError) as exc:
-        raise ContractViolationError(
-            f"malformed training block: {exc}"
-        ) from exc
-    stop = {k: opts.pop(k) for k in ("max_iterations", "rel_improvement_eps")
-            if k in opts}
-    if stop:
-        opts["stop"] = vq_core.LloydStop(**stop)
-    return opts
-
-
 def cmd_train(args) -> int:
-    config = _load_config(args)
-    profile = _profile_from(config)
+    run = _load(args)
     stream = read_iqf1(getattr(args, "in"))
-    artifact = pipeline.train_for_profile(
-        stream, profile, **_trainer_opts(config)
-    )
-    profile.quantizer.save(artifact, args.out, profile.q0)
-    _write_sidecar(args.out, "train", config)
+    artifact = pipeline.train_for_profile(stream, run.profile, **run.training)
+    run.profile.quantizer.save(artifact, args.out, run.profile.q0)
+    _write_sidecar(args.out, "train", run.config)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -200,157 +256,115 @@ def _print_stage_table(profile, stats):
 
 
 def cmd_compress(args) -> int:
-    config = _load_config(args)
-    profile = _profile_from(config)
+    run = _load(args)
     stream = read_iqf1(getattr(args, "in"))
-    codebook = profile.quantizer.load(args.codebook) if args.codebook else None
-    bits = pipeline.compress(stream, profile, codebook)
+    codebook = run.profile.quantizer.load(args.codebook) if args.codebook else None
+    bits = pipeline.compress(stream, run.profile, codebook)
     with open(args.out, "wb") as fh:
         fh.write(bits.to_bytes())
-    _write_sidecar(args.out, "compress", config)
+    _write_sidecar(args.out, "compress", run.config)
     print(f"wrote {args.out}: {len(stream)} samples compressed")
-    _print_stage_table(profile, bits.stats)
+    _print_stage_table(run.profile, bits.stats)
     return EXIT_OK
 
 
 def cmd_decompress(args) -> int:
-    config = _load_config(args)
-    profile = _profile_from(config)
+    run = _load(args)
     with open(getattr(args, "in"), "rb") as fh:
         data = fh.read()
-    codebook = profile.quantizer.load(args.codebook) if args.codebook else None
-    stream = pipeline.decompress(data, profile, codebook)
+    codebook = run.profile.quantizer.load(args.codebook) if args.codebook else None
+    stream = pipeline.decompress(data, run.profile, codebook)
     write_iqf1(stream, args.out)
-    _write_sidecar(args.out, "decompress", config)
+    _write_sidecar(args.out, "decompress", run.config)
     print(f"wrote {args.out}: {len(stream)} samples")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     """Mismatch matrix: train per labeled corpus, evaluate all pairs."""
-    config = _load_config(args)
-    profile = _profile_from(config)
-    block = config.get("eval")
-    if not block or "corpora" not in block:
+    run = _load(args)
+    if "eval" not in run.config:
         raise ContractViolationError('profile needs an "eval" block with "corpora"')
-    opts = _trainer_opts(config)
-    train_corpora, eval_corpora = {}, {}
-    for label, wf in block["corpora"].items():
-        train_corpora[label], eval_corpora[label] = _corpus_pair(wf, block)
-
-    labels = list(block["corpora"])
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        trained = pool.map(
-            lambda lab: pipeline.train_for_profile(
-                train_corpora[lab], profile, **opts
-            ),
-            labels,
-        )
-        codebooks = dict(zip(labels, trained))
-    matrix = metrics.mismatch_matrix(codebooks, eval_corpora, profile)
+    corpora = {label: [_gen_corpus(w) for w in waves]
+               for label, waves in run.corpora.items()}
+    trained = _pooled(lambda pair: pipeline.train_for_profile(
+        pair[0], run.profile, **run.training), corpora.values())
+    matrix = metrics.mismatch_matrix(
+        dict(zip(corpora, trained)),
+        {label: pair[1] for label, pair in corpora.items()}, run.profile,
+    )
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "mismatch.csv")
     matrix.write_csv(csv_path)
     if args.report == "json":
         with open(os.path.join(args.out, "mismatch.json"), "w") as fh:
-            json.dump(
-                {
-                    "schema": metrics.REPORT_SCHEMA,
-                    "train_labels": matrix.train_labels,
-                    "eval_labels": matrix.eval_labels,
-                    "evm_fd_pct": matrix.evm_fd.tolist(),
-                    "evm_td_pct": matrix.evm_td.tolist(),
-                    "relative_pct": matrix.relative_pct().tolist(),
-                },
-                fh, indent=2,
-            )
-    _write_sidecar(csv_path, "eval", config)
+            json.dump(dict(
+                schema=metrics.REPORT_SCHEMA,
+                train_labels=matrix.train_labels,
+                eval_labels=matrix.eval_labels,
+                evm_fd_pct=matrix.evm_fd.tolist(),
+                evm_td_pct=matrix.evm_td.tolist(),
+                relative_pct=matrix.relative_pct().tolist(),
+            ), fh, indent=2)
+    _write_sidecar(csv_path, "eval", run.config)
     print(f"wrote {csv_path}")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     """Rate-distortion sweep over quantizer settings from the profile."""
-    config = _load_config(args)
-    block = config.get("sweep") or {"points": []}
-    points = block.get("points", [])
-    opts = _trainer_opts(config)
+    run = _load(args)
     rows = []
-    header = [
-        "label", "quantizer", "entropy_coding", "cr_formula", "cr_measured",
-        "evm_td_pct", "evm_fd_pct", "so", "cs",
-    ]
-    if points:
-        train_corpus, eval_corpus = _corpus_pair(
-            config.get("waveform", {}), block
-        )
+    if run.points:
+        train_corpus, eval_corpus = map(_gen_corpus, run.waves)
 
         def run_point(point):
-            prof = _profile_from({
-                **config, **point.get("profile", {}),
-                "quantizer": point["quantizer"],
-            })
-            codebook = pipeline.train_for_profile(train_corpus, prof, **opts)
+            label, quantizer, prof = point
+            codebook = pipeline.train_for_profile(train_corpus, prof,
+                                                  **run.training)
             counter = vq_core.SearchCounter()
-            report = pipeline.evaluate_chain(
-                eval_corpus, prof, codebook, counter
-            )
+            r = pipeline.evaluate_chain(eval_corpus, prof, codebook, counter)
             return [
-                point.get("label", prof.quantizer.kind),
-                json.dumps(point["quantizer"], sort_keys=True),
+                label, json.dumps(quantizer, sort_keys=True),
                 prof.entropy_coding,
-                f"{report.cr_formula:.4f}",
-                f"{report.cr_measured:.4f}",
-                f"{report.evm_td_pct:.4f}",
-                f"{report.evm_fd_pct:.4f}",
-                report.so_measured,
-                report.cs_measured,
+                *(f"{x:.4f}" for x in (r.cr_formula, r.cr_measured,
+                                       r.evm_td_pct, r.evm_fd_pct)),
+                r.so_measured, r.cs_measured,
             ]
 
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(run_point, points))
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-    _write_sidecar(args.out, "sweep", config)
+        rows = _pooled(run_point, run.points)
+    _write_csv(args.out, [
+        "label", "quantizer", "entropy_coding", "cr_formula", "cr_measured",
+        "evm_td_pct", "evm_fd_pct", "so", "cs",
+    ], rows)
+    _write_sidecar(args.out, "sweep", run.config)
     print(f"wrote {args.out} ({len(rows)} points)")
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
     """Orthant-entropy and level-statistics reports for the profile corpus."""
-    config = _load_config(args)
-    profile = _profile_from(config)
-    if getattr(args, "in"):
-        stream = read_iqf1(getattr(args, "in"))
-    else:
-        stream = _gen_corpus(config.get("waveform", {}))
+    run = _load(args)
+    path = getattr(args, "in")
+    stream = read_iqf1(path) if path else _gen_corpus(run.waves[0])
     os.makedirs(args.out, exist_ok=True)
 
-    lengths = config.get("stats", {}).get("vector_lengths", [1, 2, 3, 4])
     ent_path = os.path.join(args.out, "orthant_entropy.csv")
-    with open(ent_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "l_vq", "entropy_bits"])
-        for method in vectorizer.VectorLayout:
-            for l_vq in lengths:
-                batch = vectorizer.vectorize(stream, method, int(l_vq), seed=1)
-                w.writerow(
-                    [method.value, l_vq,
-                     f"{vectorizer.orthant_entropy(batch):.6f}"]
-                )
-
-    scaled = pipeline.frontend_transform(stream, profile)
-    stats = upmgq.level_statistics(scaled)
+    entropy = vectorizer.orthant_entropy
+    _write_csv(ent_path, ["method", "l_vq", "entropy_bits"], [
+        [method.value, l_vq,
+         f"{entropy(vectorizer.vectorize(stream, method, l_vq, seed=1)):.6f}"]
+        for method in vectorizer.VectorLayout for l_vq in (1, 2, 3, 4)
+    ])
+    stats = upmgq.level_statistics(
+        pipeline.frontend_transform(stream, run.profile)
+    )
     lev_path = os.path.join(args.out, "level_statistics.csv")
-    with open(lev_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["level", "p_one"])
-        w.writerow(["sign", f"{stats.sign_negative_p:.6f}"])
-        for k, p in zip(stats.levels, stats.p_one):
-            w.writerow([int(k), f"{p:.6f}"])
-    _write_sidecar(ent_path, "stats", config)
+    _write_csv(lev_path, ["level", "p_one"], [
+        ["sign", f"{stats.sign_negative_p:.6f}"],
+        *([int(k), f"{p:.6f}"] for k, p in zip(stats.levels, stats.p_one)),
+    ])
+    _write_sidecar(ent_path, "stats", run.config)
     print(f"wrote {ent_path}")
     print(f"wrote {lev_path}")
     return EXIT_OK
@@ -362,59 +376,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Vector-quantization fronthaul compression toolkit",
     )
     parser.add_argument("--verbose", action="store_true")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(required=True)
 
-    def common(p, needs_in=False, threads=False):
+    def common(p, command, needs_in=False):
+        p.set_defaults(command=command)
         p.add_argument("--profile", help="JSON profile path")
         p.add_argument("--set", action="append", type=_parse_set,
                        metavar="KEY=VALUE", help="override profile entries")
-        p.add_argument("--seed", type=int, default=None)
-        if threads:
-            p.add_argument("--threads", type=_positive_count, default=1)
         if needs_in:
             p.add_argument("--in", required=True, help="input path")
         p.add_argument("--out", required=True, help="output path")
 
-    common(sub.add_parser("gen", help="generate a corpus (IQF1)"))
+    common(sub.add_parser("gen", help="generate a corpus (IQF1)"), cmd_gen)
     common(sub.add_parser("train", help="train a codebook artifact"),
-           needs_in=True)
+           cmd_train, needs_in=True)
     p = sub.add_parser("compress", help="compress an IQF1 file to CPZ1")
-    common(p, needs_in=True)
+    common(p, cmd_compress, needs_in=True)
     p.add_argument("--codebook", help="codebook artifact path")
     p = sub.add_parser("decompress", help="decompress a CPZ1 file to IQF1")
-    common(p, needs_in=True)
+    common(p, cmd_decompress, needs_in=True)
     p.add_argument("--codebook", help="codebook artifact path")
     p = sub.add_parser("eval", help="mismatch matrices")
-    common(p, threads=True)
+    common(p, cmd_eval)
     p.add_argument("--report", choices=("csv", "json"), default="csv")
     common(sub.add_parser("sweep", help="rate-distortion sweep CSV"),
-           threads=True)
+           cmd_sweep)
     p = sub.add_parser("stats", help="orthant entropy / level statistics")
     p.add_argument("--in", required=False, help="optional corpus (IQF1)")
-    common(p)
+    common(p, cmd_stats)
     return parser
-
-
-_COMMANDS = {
-    "gen": cmd_gen,
-    "train": cmd_train,
-    "compress": cmd_compress,
-    "decompress": cmd_decompress,
-    "eval": cmd_eval,
-    "sweep": cmd_sweep,
-    "stats": cmd_stats,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
+    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
+                        format="%(levelname)s %(name)s: %(message)s",
+                        stream=sys.stderr)
     try:
-        return _COMMANDS[args.command](args)
+        return args.command(args)
     except ContractViolationError as exc:
         log.error("contract violation: %s", exc)
         return EXIT_CONTRACT

@@ -1,12 +1,17 @@
+import copy
 import csv
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fvq
-from fvq import cli, pipeline
-from fvq.iqstream import read_iqf1
+from fvq import cli, pipeline, waveform
+from fvq.errors import FormatError
+from fvq.iqstream import IQF1_MAGIC, read_iqf1
 from fvq.pipeline import SEC_VQ_IDX, Bitstream
 from tests.conftest import make_corpus, seeded_codebooks
 
@@ -189,7 +194,7 @@ class TestTrainCompressDecompress:
         config = json.loads(profile_path.read_text())
         config["quantizer"] = QUANTIZERS[2]
         profile_path.write_text(json.dumps(config))
-        profile = cli._profile_from(config)
+        profile = cli._parse(config).profile
         cb = seeded_codebooks(profile.quantizer, seed=4)
         path, corpus = tmp_path / "cb.upmg", tmp_path / "c.iqf"
         profile.quantizer.save(cb, path, profile.q0)
@@ -234,6 +239,7 @@ class TestTrainCompressDecompress:
         assert rc == 4
 
     @pytest.mark.parametrize("overrides", [
+        ['quantizer={"kind": "raw"}', "q0=1"],
         ["vector_seed=-1"],
         ["vector_seed=18446744073709551616"],
         ['quantizer={"kind": "raw"}', "q0=64"],
@@ -266,6 +272,23 @@ class TestTrainCompressDecompress:
                   "--in", corpus,
                   "--out", tmp_path / "c.cpz")
         assert rc == 4
+
+    @pytest.mark.parametrize("quantizer", QUANTIZERS[:2],
+                             ids=[q["kind"] for q in QUANTIZERS[:2]])
+    def test_codebook_trailing_byte_exit_code_3(self, profile_path, tmp_path,
+                                                quantizer):
+        config = json.loads(profile_path.read_text())
+        config["quantizer"] = quantizer
+        profile_path.write_text(json.dumps(config))
+        profile = cli._parse(config).profile
+        path, corpus = tmp_path / "cb.bin", tmp_path / "c.iqf"
+        profile.quantizer.save(seeded_codebooks(profile.quantizer, seed=6),
+                               path, profile.q0)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        assert _run("gen", "--profile", profile_path, "--out", corpus) == 0
+        rc = _run("compress", "--profile", profile_path, "--codebook", path,
+                  "--in", corpus, "--out", tmp_path / "c.cpz")
+        assert rc == 3
 
     def test_msvq_stage_1_geometry_exit_code_3(self, profile_path, tmp_path):
         config = json.loads(profile_path.read_text())
@@ -314,21 +337,11 @@ class TestTrainCompressDecompress:
         ["sweep", "--report", "json"],
     ], ids=["gen-report", "gen-threads", "compress-threads", "sweep-report"])
     def test_option_of_another_command_exit_code_2(self, tmp_path, argv):
-        # --threads is read only by eval and sweep, --report only by eval
+        # --report is read only by eval; no command has --threads
         argv = [tmp_path / "c.iqf" if a == "IN" else a for a in argv]
         with pytest.raises(SystemExit) as exc:
             _run(*argv, "--out", tmp_path / "out")
         assert exc.value.code == 2
-
-    @pytest.mark.parametrize("command", ["eval", "sweep"])
-    @pytest.mark.parametrize("threads", ["0", "-1"])
-    def test_threads_below_one_exit_code_2(self, tmp_path, capsys, command,
-                                           threads):
-        # refused while parsing, before any worker pool starts
-        with pytest.raises(SystemExit) as exc:
-            _run(command, "--threads", threads, "--out", tmp_path / "out")
-        assert exc.value.code == 2
-        assert "--threads: must be at least 1" in capsys.readouterr().err
 
     def test_stage_table(self, capsys):
         profile = pipeline.CompressionProfile(
@@ -441,3 +454,165 @@ class TestEval:
                     "--out", rerun_dir) == 0
         again = json.loads((rerun_dir / "mismatch.json").read_text())
         assert again["evm_fd_pct"] == report["evm_fd_pct"]
+
+
+def _iqf1(path, floats):
+    """An IQF1 file of the given float32 bit patterns (I, Q interleaved)."""
+    body = struct.pack(f"<{len(floats)}I", *floats)
+    path.write_bytes(IQF1_MAGIC + struct.pack("<IQQ", len(floats) // 2, 1, 1)
+                     + body)
+    return path
+
+
+class TestIqf1Samples:
+    # quiet NaN, signalling NaN, +inf; tier-1 turns any warning into an error
+    @pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800001, 0x7F800000],
+                             ids=["quiet NaN", "signalling NaN", "inf"])
+    def test_non_finite_sample_refused(self, tmp_path, bits):
+        path = _iqf1(tmp_path / "c.iqf", [0x3F800000, bits, 0, 0])
+        with pytest.raises(FormatError, match="finite"):
+            read_iqf1(path)
+
+    def test_non_finite_sample_exit_code_3(self, profile_path, tmp_path):
+        path = _iqf1(tmp_path / "c.iqf", [0x7F800001, 0])
+        assert _run("compress", "--profile", profile_path,
+                    "--set", 'quantizer={"kind": "raw"}', "--in", path,
+                    "--out", tmp_path / "c.cpz") == 3
+
+
+PROFILES = sorted(Path(__file__).parent.parent.glob("profiles/*.json"))
+
+
+@pytest.mark.parametrize("path", PROFILES, ids=[p.name for p in PROFILES])
+def test_shipped_profile_parses(path):
+    config = json.loads(path.read_text())
+    run = cli._parse(config)
+    points = config.get("sweep", {}).get("points", [])
+    assert [label for label, _, _ in run.points] == [
+        p["label"] for p in points
+    ]
+    assert run.training["trials"] == config["training"]["trials"]
+    assert run.waves[0][0].num_symbols == config["waveform"]["num_symbols"]
+
+
+# A profile holding every block, each key of each block set, so that each
+# mutation below reaches a key the commands read.
+FULL = {
+    "link": "downlink", "l_sym": 1024, "l_cp": 128, "used_subcarriers": 600,
+    "cp_removal": True,
+    "decimation": {"up_factor": 5, "down_factor": 8, "filter_taps": 127,
+                   "stopband_atten_db": 60.0},
+    "block_scaling": {"n_bs": 32, "q_bs": 8},
+    "quantizer": {"kind": "upmgq", "theta": -1, "q_high": 3, "l": 2,
+                  "q_low": 2, "q_scale": 6, "g3_entropy": True},
+    "entropy_coding": True, "vector_method": "method3_random",
+    "vector_seed": 3, "q0": 15,
+    "waveform": {"fft_size": 1024, "cp_length": 128,
+                 "used_subcarriers": 600, "modulation": "qam16",
+                 "snr_db": 5.0, "num_symbols": 2, "seed": 5,
+                 "link": "downlink_ofdm", "channel": "multipath"},
+    "training": {"trainer": "classical", "trials": 1, "seed": 2,
+                 "max_iterations": 5, "rel_improvement_eps": 0.001},
+    "eval": {"eval_seed_offset": 11,
+             "corpora": {"a": {"num_symbols": 2, "snr_db": 20.0, "seed": 6,
+                               "link": "downlink_ofdm", "channel": "awgn"}}},
+    "sweep": {"eval_seed_offset": 13, "points": [
+        {"label": "vq", "quantizer": {"kind": "vq", "l_vq": 1, "q_vq": 3}},
+        {"label": "msvq", "quantizer": {"kind": "msvq", "q1": 1, "q2": 1,
+                                        "l": 2},
+         "profile": {"entropy_coding": False, "q0": 12}},
+    ]},
+}
+# the objects inside FULL that the commands parse
+BLOCKS = [(), ("decimation",), ("block_scaling",), ("quantizer",),
+          ("waveform",), ("training",), ("eval",), ("eval", "corpora", "a"),
+          ("sweep",), ("sweep", "points", 1),
+          ("sweep", "points", 1, "quantizer"),
+          ("sweep", "points", 1, "profile")]
+COMMANDS = [["gen"], ["train", "--in", "IN"], ["compress", "--in", "IN"],
+            ["decompress", "--in", "IN"], ["eval"], ["sweep"], ["stats"]]
+
+_JSON = {
+    bool: st.booleans(),
+    int: st.integers(-10**6, 10**6),
+    float: st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer()),
+    str: st.text(max_size=4),
+    list: st.lists(st.integers(0, 3), max_size=2),
+    dict: st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+}
+
+
+def _wrong_type(value):
+    """JSON of a type other than value's (any number stands for a float)."""
+    own = {type(value)} | ({int} if type(value) is float else set())
+    return st.one_of([s for t, s in _JSON.items() if t not in own])
+
+
+def _run_parse_only(command, config, tmp_dir):
+    """Exit code of `command` on `config`, with corpus generation, training
+    and every input file unavailable, so only parsing can succeed."""
+    path = Path(tmp_dir) / "profile.json"
+    path.write_text(json.dumps(config))
+    argv = [str(tmp_dir / "missing") if a == "IN" else a for a in command]
+
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the profile was parsed")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "train_for_profile", work)
+        mp.setattr(waveform, "generate", work)
+        return _run(*argv, "--profile", path, "--out", tmp_dir / "out")
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("parse")
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+class TestOneParseRule:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_wrong_type_exit_code_4(self, command, scratch, data):
+        config = copy.deepcopy(FULL)
+        block = data.draw(st.sampled_from(BLOCKS), label="block")
+        node = config
+        for key in block:
+            node = node[key]
+        key = data.draw(st.sampled_from(sorted(node)), label="key")
+        node[key] = data.draw(_wrong_type(node[key]), label="value")
+        assert _run_parse_only(command, config, scratch) == 4
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_unknown_key_exit_code_4(self, command, scratch, data):
+        config = copy.deepcopy(FULL)
+        block = data.draw(st.sampled_from(BLOCKS), label="block")
+        node = config
+        for key in block:
+            node = node[key]
+        key = data.draw(st.text(max_size=4).map("x_".__add__), label="key")
+        node[key] = data.draw(st.one_of(list(_JSON.values())), label="value")
+        assert _run_parse_only(command, config, scratch) == 4
+
+    @pytest.mark.parametrize("path", [
+        ("decimation", "up_factor"), ("eval", "corpora"),
+        ("sweep", "points", 1, "quantizer"),
+    ], ids=lambda p: ".".join(map(str, p)))
+    def test_missing_key_exit_code_4(self, command, scratch, path):
+        config = copy.deepcopy(FULL)
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        assert _run_parse_only(command, config, scratch) == 4
+
+    def test_full_profile_parses(self, command, scratch):
+        # every command accepts the profile the mutations start from: it
+        # stops at its first work or at the missing input file
+        try:
+            code = _run_parse_only(command, FULL, scratch)
+        except AssertionError as exc:
+            assert "work started" in str(exc)
+        else:
+            assert code == 3
