@@ -46,7 +46,7 @@ _TRAINING = {"trainer": str, "trials": int, "seed": int,
 _EVAL = {"corpora": dict, "eval_seed_offset": int}
 _SWEEP = {"points": list, "eval_seed_offset": int}
 _POINT = {"label": str, "quantizer": dict, "profile": dict}
-_CHANNELS = {"awgn": None, "multipath": waveform.apply_static_multipath}
+_CHANNELS = ("awgn", "multipath")
 
 
 def _parse_set(value):
@@ -192,8 +192,8 @@ def _load(args) -> SimpleNamespace:
 def _gen_corpus(wave):
     cfg, channel = wave
     stream = waveform.generate(cfg)
-    if _CHANNELS[channel]:
-        stream = _CHANNELS[channel](stream, cfg.seed)
+    if channel == "multipath":
+        stream = waveform.apply_static_multipath(stream, cfg.seed)
     stream.meta["channel"] = channel
     return stream
 
