@@ -543,7 +543,7 @@ _JSON = {
 
 
 def _wrong_type(value):
-    """JSON of a type other than value's (any number stands for a float)."""
+    """JSON of a type other than value's; an int counts as a float."""
     own = {type(value)} | ({int} if type(value) is float else set())
     return st.one_of([s for t, s in _JSON.items() if t not in own])
 
@@ -551,7 +551,7 @@ def _wrong_type(value):
 def _run_parse_only(command, config, tmp_dir):
     """Exit code of `command` on `config`, with corpus generation, training
     and every input file unavailable, so only parsing can succeed."""
-    path = Path(tmp_dir) / "profile.json"
+    path = tmp_dir / "profile.json"
     path.write_text(json.dumps(config))
     argv = [str(tmp_dir / "missing") if a == "IN" else a for a in command]
 
@@ -562,6 +562,12 @@ def _run_parse_only(command, config, tmp_dir):
         mp.setattr(pipeline, "train_for_profile", work)
         mp.setattr(waveform, "generate", work)
         return _run(*argv, "--profile", path, "--out", tmp_dir / "out")
+
+
+def _node(config, path):
+    for key in path:
+        config = config[key]
+    return config
 
 
 @pytest.fixture(scope="module")
@@ -575,10 +581,7 @@ class TestOneParseRule:
     @given(data=st.data())
     def test_wrong_type_exit_code_4(self, command, scratch, data):
         config = copy.deepcopy(FULL)
-        block = data.draw(st.sampled_from(BLOCKS), label="block")
-        node = config
-        for key in block:
-            node = node[key]
+        node = _node(config, data.draw(st.sampled_from(BLOCKS), label="block"))
         key = data.draw(st.sampled_from(sorted(node)), label="key")
         node[key] = data.draw(_wrong_type(node[key]), label="value")
         assert _run_parse_only(command, config, scratch) == 4
@@ -587,10 +590,7 @@ class TestOneParseRule:
     @given(data=st.data())
     def test_unknown_key_exit_code_4(self, command, scratch, data):
         config = copy.deepcopy(FULL)
-        block = data.draw(st.sampled_from(BLOCKS), label="block")
-        node = config
-        for key in block:
-            node = node[key]
+        node = _node(config, data.draw(st.sampled_from(BLOCKS), label="block"))
         key = data.draw(st.text(max_size=4).map("x_".__add__), label="key")
         node[key] = data.draw(st.one_of(list(_JSON.values())), label="value")
         assert _run_parse_only(command, config, scratch) == 4
@@ -601,10 +601,7 @@ class TestOneParseRule:
     ], ids=lambda p: ".".join(map(str, p)))
     def test_missing_key_exit_code_4(self, command, scratch, path):
         config = copy.deepcopy(FULL)
-        node = config
-        for key in path[:-1]:
-            node = node[key]
-        del node[path[-1]]
+        del _node(config, path[:-1])[path[-1]]
         assert _run_parse_only(command, config, scratch) == 4
 
     def test_full_profile_parses(self, command, scratch):
