@@ -24,11 +24,9 @@ from .vq_core import (
     LloydStop,
     SearchCounter,
     lloyd_iterate,
-    load_codebook,
     nearest_codeword,
     quantize_batch,
     dequantize_batch,
-    save_codebook,
     train_classical,
     train_modified,
 )
@@ -45,6 +43,7 @@ from .upmgq import (
     upmgq_complexity,
 )
 from .entropy import HuffmanTable, build_huffman, decode, ec_gain, encode, estimate_pmf
+from .artifacts import load_codebook, save_codebook
 from .pipeline import (
     Bitstream,
     CompressionProfile,

@@ -19,7 +19,6 @@ Exit codes: 0 ok, 2 usage, 3 data/format error, 4 contract violation.
 import argparse
 import csv
 import dataclasses
-import enum
 import json
 import logging
 import math
@@ -30,8 +29,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import metrics, pipeline, upmgq, vectorizer, vq_core, waveform
-from .errors import ContractViolationError, FormatError
+from . import artifacts, metrics, pipeline, upmgq, vectorizer, vq_core, waveform
+from .errors import ContractViolationError, FormatError, has_type
 from .iqstream import read_iqf1, write_iqf1
 
 log = logging.getLogger("fvq")
@@ -84,36 +83,12 @@ def _block(what, parse, *args):
         raise ContractViolationError(f"malformed {what}: {exc!r}") from exc
 
 
-def _is_json(value, t) -> bool:
-    """Whether a JSON value has type t; an int is a float, an enum a str,
-    and a bool is neither an int nor a float."""
-    t = str if issubclass(t, enum.Enum) else (int, float) if t is float else t
-    return isinstance(value, t) and (t is bool or not isinstance(value, bool))
-
-
 def _typed(block, types) -> dict:
     """block, if each key is in `types` and holds a value of its type."""
     for key, value in block.items():
-        if not _is_json(value, types[key]):
+        if not has_type(value, types[key]):
             raise TypeError(f"{key} must be {types[key].__name__}")
     return block
-
-
-def _checked(obj, block):
-    """obj, built from `block`, if each value in the block has the type of
-    obj's field of that name (fields holding a dataclass likewise); the
-    constructors refuse unknown and missing keys themselves."""
-    for f in dataclasses.fields(obj):
-        attr = getattr(obj, f.name)
-        if dataclasses.is_dataclass(attr):
-            _checked(attr, block.get(f.name, {}))
-        elif f.name in block and attr is not None:
-            _typed({f.name: block[f.name]}, {f.name: f.type})
-    return obj
-
-
-def _profile_from(chain: dict) -> pipeline.CompressionProfile:
-    return _checked(pipeline.CompressionProfile.from_dict(chain), chain)
 
 
 def _waveforms(block, seed_offset):
@@ -126,7 +101,7 @@ def _waveforms(block, seed_offset):
         raise ValueError(f"unknown channel {channel!r}")
     if block.get("snr_db") is None:
         block["snr_db"] = math.inf
-    cfg = _checked(waveform.WaveformConfig(**block), block)
+    cfg = waveform.WaveformConfig(**block)
     shifted = dataclasses.replace(cfg, seed=cfg.seed + seed_offset)
     return (cfg, channel), (shifted, channel)
 
@@ -146,7 +121,9 @@ def _point(point, chain):
     """(label, quantizer JSON, profile) of one sweep point: the chain with
     the point's "profile" keys and its quantizer."""
     q = _typed(point, _POINT)["quantizer"]
-    profile = _profile_from({**chain, **point.get("profile", {}), "quantizer": q})
+    profile = pipeline.CompressionProfile.from_dict(
+        {**chain, **point.get("profile", {}), "quantizer": q}
+    )
     return point.get("label", profile.quantizer.kind), q, profile
 
 
@@ -163,7 +140,7 @@ def _parse(config: dict) -> SimpleNamespace:
     sweep = _block("sweep block", _typed, config.get("sweep", {}), _SWEEP)
     return SimpleNamespace(
         config=config,
-        profile=_block("profile", _profile_from, chain),
+        profile=_block("profile", pipeline.CompressionProfile.from_dict, chain),
         # (train, eval) waveforms, eval seeds shifted by the sweep's offset
         waves=_block("waveform block", _waveforms, config.get("waveform", {}),
                      sweep.get("eval_seed_offset", 7777)),
@@ -238,7 +215,7 @@ def cmd_train(args) -> int:
     run = _load(args)
     stream = read_iqf1(getattr(args, "in"))
     artifact = pipeline.train_for_profile(stream, run.profile, **run.training)
-    run.profile.quantizer.save(artifact, args.out, run.profile.q0)
+    artifacts.save_codebook(artifact, args.out, run.profile.q0)
     _write_sidecar(args.out, "train", run.config)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -258,7 +235,7 @@ def _print_stage_table(profile, stats):
 def cmd_compress(args) -> int:
     run = _load(args)
     stream = read_iqf1(getattr(args, "in"))
-    codebook = run.profile.quantizer.load(args.codebook) if args.codebook else None
+    codebook = artifacts.load_codebook(args.codebook) if args.codebook else None
     bits = pipeline.compress(stream, run.profile, codebook)
     with open(args.out, "wb") as fh:
         fh.write(bits.to_bytes())
@@ -272,7 +249,7 @@ def cmd_decompress(args) -> int:
     run = _load(args)
     with open(getattr(args, "in"), "rb") as fh:
         data = fh.read()
-    codebook = run.profile.quantizer.load(args.codebook) if args.codebook else None
+    codebook = artifacts.load_codebook(args.codebook) if args.codebook else None
     stream = pipeline.decompress(data, run.profile, codebook)
     write_iqf1(stream, args.out)
     _write_sidecar(args.out, "decompress", run.config)

@@ -17,13 +17,12 @@ positions, not residuals).
 
 import functools
 import logging
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import entropy, vq_core
-from .errors import ContractViolationError, FormatError
+from .errors import ContractViolationError
 from .vq_core import (
     CLASSICAL,
     Codebook,
@@ -32,19 +31,13 @@ from .vq_core import (
     _as_vectors,
     _field_state,
     _nearest,
-    _refuse_trailing,
     codebook_size,
-    load_codebook,
     quantize_batch,
-    save_codebook,
     train_classical,  # noqa: F401 (patched by bench/tracing.py)
     train_modified,  # noqa: F401
 )
 
 log = logging.getLogger(__name__)
-
-VQMS_MAGIC = b"VQMS\x00\x00\x00\x00"
-_VQMS_VERSION = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,32 +181,3 @@ def dequantize_msvq(cb: MsvqCodebook, i1, i2) -> np.ndarray:
         raise ContractViolationError("stage-2 index out of range")
     # np.take: row gathers by fancy indexing are several times slower
     return np.take(stacked.reshape(-1, cb.l), i1 * size2 + i2, axis=0)
-
-
-def save_msvq(cb: MsvqCodebook, path) -> None:
-    """VQMS container: magic, version, (q1, q2, l), stage-1 VQCB block, then
-    stage-2 VQCB blocks in index order."""
-    with open(path, "wb") as fh:
-        fh.write(VQMS_MAGIC + struct.pack("<BBBB", _VQMS_VERSION, cb.q1, cb.q2, cb.l))
-        save_codebook(cb.stage1, fh)
-        for sub in cb.stage2:
-            save_codebook(sub, fh)
-
-
-def load_msvq(path) -> MsvqCodebook:
-    with open(path, "rb") as fh:
-        header = fh.read(12)
-        if len(header) < 12 or header[:8] != VQMS_MAGIC:
-            raise FormatError("bad VQMS header")
-        version, q1, q2, l = struct.unpack_from("<BBBB", header, 8)
-        if version != _VQMS_VERSION:
-            raise FormatError(f"unsupported VQMS version {version}")
-        stage1 = load_codebook(fh)
-        if (stage1.l_vq, stage1.q_vq) != (l, q1):
-            raise FormatError("stage-1 block geometry mismatch")
-        stage2 = [load_codebook(fh) for _ in range(stage1.size)]
-        _refuse_trailing(fh, "VQMS")
-    try:
-        return MsvqCodebook(stage1, stage2, l, q1, q2)
-    except ContractViolationError as exc:
-        raise FormatError(f"stage-2 blocks do not match the header: {exc}") from exc

@@ -49,9 +49,9 @@ the profile's quantizer spec, behind one interface that `compress`,
 and geometry), `train` (the artifact; None for raw), `quantize` (append the
 kind's sections to a Bitstream and fill in its vector count, stored
 codewords and search counters), `dequantize` (sections back to the
-block-scaled stream), `gain_stats` (the quantizer's gains in the CR
-accounting) and `save`/`load` (its VQCB, VQMS or UPMG file). VQ and MSVQ
-share `_IndexQuantizer`. Adding a quantizer is one spec class plus its
+block-scaled stream) and `gain_stats` (the quantizer's gains in the CR
+accounting). Codebook files are `artifacts`' alone. VQ and MSVQ share
+`_IndexQuantizer`. Adding a quantizer is one spec class plus its
 `_QUANTIZER_KINDS` entry.
 
 Sections. One codec writes (`_section`) and reads (`_read_section`) every
@@ -85,6 +85,7 @@ from .errors import (
     ContractViolationError,
     DigestMismatchError,
     MalformedBitstreamError,
+    check_types,
 )
 from .iqstream import IQStream
 from .metrics import EvalReport, complexity_counters, evm_fd, evm_td
@@ -212,12 +213,6 @@ class VqSpec(_IndexQuantizer):
     def reconstruct(self, cb, idx):
         return vq_core.dequantize_batch(cb, idx)
 
-    def save(self, cb, path, q0):
-        vq_core.save_codebook(cb, path)
-
-    def load(self, path):
-        return vq_core.load_codebook(path)
-
 
 @dataclass
 class MsvqSpec(_IndexQuantizer):
@@ -255,12 +250,6 @@ class MsvqSpec(_IndexQuantizer):
 
     def reconstruct(self, cb, i1, i2):
         return dequantize_msvq(cb, i1, i2)
-
-    def save(self, cb, path, q0):
-        msvq.save_msvq(cb, path)
-
-    def load(self, path):
-        return msvq.load_msvq(path)
 
 
 @dataclass
@@ -323,12 +312,6 @@ class UpmgqSpec(UpmgqConfig):
         stats.l_low = stats.section_bits[SEC_G3] / n_comp
         stats.quantizer_gain = upmgq.cr_upmgq(stats.l_high, self.l, stats.l_low, q0)
 
-    def save(self, cb, path, q0):
-        upmgq.save_upmgq(cb, path, q0)
-
-    def load(self, path):
-        return upmgq.load_upmgq(path)
-
 
 @dataclass
 class RawSpec:
@@ -373,11 +356,6 @@ class RawSpec:
 
     def gain_stats(self, stats, q0):
         stats.quantizer_gain = 1.0
-
-    def save(self, *args):
-        raise ContractViolationError("raw profiles take no codebook")
-
-    load = save
 
 
 @dataclass
@@ -440,9 +418,10 @@ class CompressionProfile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CompressionProfile":
-        """A profile from its JSON object; a field of the wrong type or shape,
-        or a missing or unknown key, is a contract violation."""
-        d = dict(d)
+        """A profile from its JSON object; a field of the wrong type or shape
+        (`check_types`), or a missing or unknown key, is a contract
+        violation."""
+        block, d = d, dict(d)
         try:
             for name, spec in (("decimation", frontend.ResamplerSpec),
                                ("block_scaling", BlockScalingSpec)):
@@ -454,7 +433,7 @@ class CompressionProfile:
                 if kind not in _QUANTIZER_KINDS:
                     raise ContractViolationError(f"unknown quantizer {kind!r}")
                 d["quantizer"] = _QUANTIZER_KINDS[kind](**q)
-            return cls(**d)
+            return check_types(cls(**d), block)
         except (TypeError, ValueError) as exc:
             raise ContractViolationError(f"malformed profile: {exc}") from exc
 

@@ -22,21 +22,19 @@ are exactly representable.
 `UpmgqConfig` (theta, q_high, l, q_low) is the one geometry type, which the
 pipeline's `UpmgqSpec` extends. G2 is a plain `vq_core.Codebook` over the
 high parts' rows of l, coded under its `table`; the G3 grid follows from
-theta and q_low. Quantization expands a frame once. Loading a UPMG container
-checks the header against the file size before reading the body, and the
-stored grid and G2 code lengths against the derived ones.
+theta and q_low. Quantization expands a frame once. A UPMG file
+(`artifacts`) stores the grid and the G2 code lengths too, and loads only if
+they are the ones the geometry and the G2 usage counts give.
 """
 
 import math
-import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import vq_core
 from .entropy import build_huffman, estimate_pmf  # noqa: F401 (bench/tracing.py)
-from .errors import ContractViolationError, FormatError
+from .errors import ContractViolationError
 from .iqstream import IQStream
 from .vectorizer import devectorize, vectorize  # noqa: F401 (bench/tracing.py)
 from .vq_core import (
@@ -47,15 +45,10 @@ from .vq_core import (
     _nearest,
     codebook_size,
     dequantize_batch,
-    load_codebook,
     quantize_batch,
-    save_codebook,
     train_classical,  # noqa: F401 (patched by bench/tracing.py)
     train_modified,  # noqa: F401
 )
-
-UPMG_MAGIC = b"UPMG\x00\x00\x00\x00"
-_UPMG_VERSION = 1
 
 
 @dataclass
@@ -82,6 +75,9 @@ class UpmgqCodebook:
     high_vq: Codebook  # over high parts divided by 2^theta (integer entries)
     theta: int = 0
     q_low: int = 0
+
+    def __post_init__(self):
+        UpmgqConfig(self.theta, self.high_vq.q_vq, self.high_vq.l_vq, self.q_low)
 
     @property
     def low_sq(self) -> np.ndarray:
@@ -243,52 +239,3 @@ def upmgq_complexity(cfg: UpmgqConfig) -> tuple[int, int]:
     """(search operations, codebook size); both 2^(q_high*l) + 2^q_low."""
     so = codebook_size(cfg.l, cfg.q_high) + (1 << cfg.q_low)
     return so, so
-
-
-def save_upmgq(cb: UpmgqCodebook, path, q0: int) -> None:
-    """UPMG container: magic, version, geometry and q0, G2 VQCB block, G3
-    grid as float32, then the G2 Huffman code lengths (of its `table`)."""
-    high = cb.high_vq
-    with open(path, "wb") as fh:
-        fh.write(UPMG_MAGIC + struct.pack(
-            "<BbBBBB", _UPMG_VERSION, cb.theta, high.q_vq, high.l_vq, cb.q_low, q0
-        ))
-        save_codebook(high, fh)
-        fh.write(cb.low_sq.astype("<f4").tobytes())
-        fh.write(cb.high_vq.table.code_lengths.astype(np.uint8).tobytes())
-
-
-def load_upmgq(path) -> UpmgqCodebook:
-    """Read a UPMG container. The header must declare a valid geometry whose
-    body is exactly the rest of the file, the G2 block must have that
-    geometry, and the grid and code lengths must be those it and the G2 usage
-    counts give; q0 is checked and otherwise unused."""
-    with open(path, "rb") as fh:
-        header = fh.read(14)
-        if len(header) < 14 or header[:8] != UPMG_MAGIC:
-            raise FormatError("bad UPMG header")
-        version, theta, q_high, l, q_low, q0 = struct.unpack_from(
-            "<BbBBBB", header, 8
-        )
-        if version != _UPMG_VERSION:
-            raise FormatError(f"unsupported UPMG version {version}")
-        try:
-            UpmgqConfig(theta, q_high, l, q_low)
-        except ContractViolationError as exc:
-            raise FormatError(f"bad UPMG geometry: {exc}") from exc
-        if q0 < 1:
-            raise FormatError("UPMG q0 must be positive")
-        k = codebook_size(l, q_high)
-        # VQCB header, codewords, usage counts, G3 grid, code lengths
-        body = 15 + k * (4 * l + 8) + (4 << q_low) + k
-        if body != os.fstat(fh.fileno()).st_size - 14:
-            raise FormatError("UPMG header does not match the file size")
-        high_vq = load_codebook(fh)
-        if (high_vq.l_vq, high_vq.q_vq) != (l, q_high):
-            raise FormatError("G2 block geometry mismatch")
-        cb = UpmgqCodebook(high_vq, theta, q_low)
-        if fh.read(4 << q_low) != cb.low_sq.astype("<f4").tobytes():
-            raise FormatError("G3 grid is not the configuration's midpoints")
-        if fh.read() != high_vq.table.code_lengths.astype(np.uint8).tobytes():
-            raise FormatError("G2 code lengths do not match its usage counts")
-    return cb

@@ -91,21 +91,16 @@ training is bit-reproducible for a fixed seed.
 
 import functools
 import math
-import os
-import struct
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from . import entropy
-from .errors import ContractViolationError, FormatError
+from .errors import ContractViolationError
 
 CLASSICAL = "classical"
 MODIFIED = "modified"
-
-VQCB_MAGIC = b"VQCB\x00\x00\x00\x00"
-_VQCB_VERSION = 1
 
 # Keep chunked distance matrices around this many float64 entries (~64 MB).
 _CHUNK_BUDGET = 8_000_000
@@ -729,59 +724,3 @@ def dequantize_batch(codebook: Codebook, indices) -> np.ndarray:
 def vq_gain(q0: int, q_vq: int) -> float:
     """Quantizer bit-width gain Q0 / Q_VQ."""
     return q0 / q_vq
-
-
-def save_codebook(codebook: Codebook, path_or_fh) -> None:
-    """VQCB container: 8-byte magic, version, l_vq, q_vq, uint32 count,
-    float32 LE codewords row-major, uint64 LE usage counts."""
-    if codebook.l_vq > 255 or codebook.q_vq > 255:
-        raise ContractViolationError("l_vq/q_vq exceed one byte")
-    header = VQCB_MAGIC + struct.pack(
-        "<BBBI", _VQCB_VERSION, codebook.l_vq, codebook.q_vq, codebook.size
-    )
-    body = codebook.codewords.astype("<f4").tobytes()
-    counts = codebook.usage_counts.astype("<u8").tobytes()
-    if hasattr(path_or_fh, "write"):
-        path_or_fh.write(header + body + counts)
-    else:
-        with open(path_or_fh, "wb") as fh:
-            fh.write(header + body + counts)
-
-
-def load_codebook(path_or_fh) -> Codebook:
-    """A VQCB block read from a stream, or a VQCB file, which must end with
-    the block."""
-    if hasattr(path_or_fh, "read"):
-        return _read_codebook(path_or_fh)
-    with open(path_or_fh, "rb") as fh:
-        cb = _read_codebook(fh)
-        _refuse_trailing(fh, "VQCB")
-        return cb
-
-
-def _refuse_trailing(fh, what: str):
-    if fh.read(1):
-        raise FormatError(f"trailing bytes after the {what} body")
-
-
-def _read_codebook(fh) -> Codebook:
-    header = fh.read(15)
-    if len(header) < 15:
-        raise FormatError("truncated VQCB header")
-    if header[:8] != VQCB_MAGIC:
-        raise FormatError("bad VQCB magic")
-    version, l_vq, q_vq, count = struct.unpack_from("<BBBI", header, 8)
-    if version != _VQCB_VERSION:
-        raise FormatError(f"unsupported VQCB version {version}")
-    # count is a uint32, so this also refuses l_vq * q_vq > 62
-    if l_vq < 1 or count != 1 << (l_vq * q_vq):
-        raise FormatError("VQCB codeword count inconsistent with geometry")
-    here = fh.tell()
-    if count * (4 * l_vq + 8) > fh.seek(0, os.SEEK_END) - here:
-        raise FormatError("truncated VQCB body")
-    fh.seek(here)
-    codewords = np.frombuffer(fh.read(4 * count * l_vq), dtype="<f4")
-    if not np.isfinite(codewords).all():
-        raise FormatError("VQCB codewords must be finite")
-    usage = np.frombuffer(fh.read(8 * count), dtype="<u8").astype(np.uint64)
-    return Codebook(l_vq, q_vq, codewords.reshape(count, l_vq), usage)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, check_types
 from .iqstream import DEFAULT_SAMPLE_RATE_HZ, IQStream
 
 # Sub-seed tags so the data stream and the noise stream are decoupled: the
@@ -63,6 +63,7 @@ class WaveformConfig:
     link: Link = Link.UPLINK_SCFDM
 
     def __post_init__(self):
+        check_types(self, vars(self))
         self.modulation = Modulation(self.modulation)
         self.link = Link(self.link)
         if self.fft_size < 1:

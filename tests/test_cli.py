@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fvq
-from fvq import cli, pipeline, waveform
+from fvq import artifacts, cli, pipeline, waveform
 from fvq.errors import FormatError
 from fvq.iqstream import IQF1_MAGIC, read_iqf1
 from fvq.pipeline import SEC_VQ_IDX, Bitstream
@@ -197,7 +197,7 @@ class TestTrainCompressDecompress:
         profile = cli._parse(config).profile
         cb = seeded_codebooks(profile.quantizer, seed=4)
         path, corpus = tmp_path / "cb.upmg", tmp_path / "c.iqf"
-        profile.quantizer.save(cb, path, profile.q0)
+        artifacts.save_codebook(cb, path, profile.q0)
         blob = bytearray(path.read_bytes())
         edit(blob, cb)
         path.write_bytes(bytes(blob))
@@ -265,7 +265,7 @@ class TestTrainCompressDecompress:
 
     def test_vq_without_index_bits_exit_code_4(self, profile_path, tmp_path):
         corpus, cb = tmp_path / "c.iqf", tmp_path / "cb.vqcb"
-        fvq.save_codebook(fvq.Codebook(2, 0, np.zeros((1, 2))), cb)
+        fvq.save_codebook(fvq.Codebook(2, 0, np.zeros((1, 2))), cb, 15)
         assert _run("gen", "--profile", profile_path, "--out", corpus) == 0
         rc = _run("compress", "--profile", profile_path, "--codebook", cb,
                   "--set", "quantizer.q_vq=0", "--set", "block_scaling=null",
@@ -282,8 +282,8 @@ class TestTrainCompressDecompress:
         profile_path.write_text(json.dumps(config))
         profile = cli._parse(config).profile
         path, corpus = tmp_path / "cb.bin", tmp_path / "c.iqf"
-        profile.quantizer.save(seeded_codebooks(profile.quantizer, seed=6),
-                               path, profile.q0)
+        artifacts.save_codebook(seeded_codebooks(profile.quantizer, seed=6),
+                                path, profile.q0)
         path.write_bytes(path.read_bytes() + b"\x00")
         assert _run("gen", "--profile", profile_path, "--out", corpus) == 0
         rc = _run("compress", "--profile", profile_path, "--codebook", path,
@@ -297,16 +297,39 @@ class TestTrainCompressDecompress:
         rng = np.random.default_rng(5)
         cb, corpus = tmp_path / "cb.vqms", tmp_path / "c.iqf"
         # the header says q1 = 1; the stage-1 block holds 16 codewords
-        with open(cb, "wb") as fh:
-            fh.write(fvq.msvq.VQMS_MAGIC + bytes([1, 1, 1, 2]))
-            fvq.save_codebook(fvq.Codebook(2, 2, rng.normal(size=(16, 2))), fh)
-            for _ in range(4):
-                fvq.save_codebook(fvq.Codebook(2, 1, rng.normal(size=(4, 2))),
-                                  fh)
+        cb.write_bytes(
+            artifacts.VQMS + bytes([1, 1, 1, 2])
+            + artifacts.encode(fvq.Codebook(2, 2, rng.normal(size=(16, 2))), 15)
+            + b"".join(
+                artifacts.encode(fvq.Codebook(2, 1, rng.normal(size=(4, 2))), 15)
+                for _ in range(4)
+            )
+        )
         assert _run("gen", "--profile", profile_path, "--out", corpus) == 0
         rc = _run("compress", "--profile", profile_path, "--codebook", cb,
                   "--in", corpus, "--out", tmp_path / "c.cpz")
         assert rc == 3
+
+    @pytest.mark.parametrize("written, profiled", [(1, 0), (2, 1)],
+                             ids=["msvq file, vq profile",
+                                  "upmgq file, msvq profile"])
+    def test_codebook_of_another_kind_exit_code_4(self, profile_path, tmp_path,
+                                                  written, profiled):
+        # the file loads; the profile's quantizer refuses what it holds
+        config = json.loads(profile_path.read_text())
+        written_spec = cli._parse(
+            {**config, "quantizer": QUANTIZERS[written]}
+        ).profile.quantizer
+        path, corpus = tmp_path / "cb.bin", tmp_path / "c.iqf"
+        cb = seeded_codebooks(written_spec, seed=7)
+        artifacts.save_codebook(cb, path, 15)
+        assert type(artifacts.load_codebook(path)) is type(cb)
+        config["quantizer"] = QUANTIZERS[profiled]
+        profile_path.write_text(json.dumps(config))
+        assert _run("gen", "--profile", profile_path, "--out", corpus) == 0
+        rc = _run("compress", "--profile", profile_path, "--codebook", path,
+                  "--in", corpus, "--out", tmp_path / "c.cpz")
+        assert rc == 4
 
     def test_unknown_trainer_exit_code_4(self, profile_path, tmp_path):
         corpus = tmp_path / "c.iqf"

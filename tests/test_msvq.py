@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from fvq import msvq as ms
+from fvq.artifacts import VQMS, encode, load_codebook, save_codebook
 from fvq.pipeline import MsvqSpec
 from fvq.errors import ContractViolationError, FormatError
 from fvq.vq_core import (
     Codebook,
     SearchCounter,
     quantize_batch,
-    save_codebook,
     train_classical,
 )
 from tests.conftest import seeded_codebooks
@@ -72,7 +72,7 @@ class TestTraining:
         )
 
 
-# name -> (corpus, q1, q2, seed, SHA-256 of the `save_msvq` bytes)
+# name -> (corpus, q1, q2, seed, SHA-256 of the `save_codebook` bytes)
 PINNED = {
     "q2 0": (lambda: _corpus(2000, seed=5), 3, 0, 6,
              "792670ce83014271be3a189d5dee460a29f7508b13a15aaab12aa8df4fd6faae"),
@@ -97,7 +97,7 @@ def test_trained_bytes_pinned(name, tmp_path):
     assert ("under" in name) == any(0 < m < size2 for m in members)
     assert ("empty" in name) == (0 in members)
     path = tmp_path / "cb.vqms"
-    ms.save_msvq(cb, path)
+    save_codebook(cb, path, 15)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
 
@@ -212,8 +212,8 @@ class TestIo:
     def test_container_round_trip(self, tmp_path):
         cb = ms.train_msvq(_corpus(9000, seed=20), 2, 2, seed=21)
         path = tmp_path / "cb.vqms"
-        ms.save_msvq(cb, path)
-        loaded = ms.load_msvq(path)
+        save_codebook(cb, path, 15)
+        loaded = load_codebook(path)
         assert (loaded.q1, loaded.q2, loaded.l) == (2, 2, 2)
         np.testing.assert_allclose(
             loaded.stage1.codewords,
@@ -225,30 +225,51 @@ class TestIo:
 
     def test_trailing_byte_refused(self, tmp_path):
         path = tmp_path / "cb.vqms"
-        ms.save_msvq(seeded_codebooks(MsvqSpec(1, 1, 2), seed=24), path)
+        save_codebook(seeded_codebooks(MsvqSpec(1, 1, 2), seed=24), path, 15)
         path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(FormatError, match="trailing"):
-            ms.load_msvq(path)
+        with pytest.raises(FormatError, match="geometry gives 407 bytes, file has 408"):
+            load_codebook(path)
 
     def test_stage_2_blocks_must_have_q2_geometry(self, tmp_path):
         # a q2 = 0 header over 4-codeword stage-2 blocks
         rng = np.random.default_rng(22)
         path = tmp_path / "cb.vqms"
-        with open(path, "wb") as fh:
-            fh.write(ms.VQMS_MAGIC + bytes([1, 1, 0, 2]))
-            for _ in range(5):
-                save_codebook(Codebook(2, 1, rng.normal(size=(4, 2))), fh)
-        with pytest.raises(FormatError, match="stage-2"):
-            ms.load_msvq(path)
+        path.write_bytes(VQMS + bytes([1, 1, 0, 2]) + b"".join(
+            encode(Codebook(2, 1, rng.normal(size=(4, 2))), 15)
+            for _ in range(5)
+        ))
+        with pytest.raises(FormatError, match="geometry gives 215 bytes"):
+            load_codebook(path)
 
     def test_stage_1_block_must_match_header(self, tmp_path):
         # a q1 = 1 header over a 16-codeword (q = 2) stage-1 block
         rng = np.random.default_rng(23)
         path = tmp_path / "cb.vqms"
-        with open(path, "wb") as fh:
-            fh.write(ms.VQMS_MAGIC + bytes([1, 1, 1, 2]))
-            save_codebook(Codebook(2, 2, rng.normal(size=(16, 2))), fh)
-            for _ in range(4):
-                save_codebook(Codebook(2, 1, rng.normal(size=(4, 2))), fh)
-        with pytest.raises(FormatError, match="stage-1"):
-            ms.load_msvq(path)
+        path.write_bytes(
+            VQMS + bytes([1, 1, 1, 2])
+            + encode(Codebook(2, 2, rng.normal(size=(16, 2))), 15)
+            + b"".join(encode(Codebook(2, 1, rng.normal(size=(4, 2))), 15)
+                       for _ in range(4))
+        )
+        with pytest.raises(FormatError, match="geometry gives 407 bytes"):
+            load_codebook(path)
+
+    # offsets into a (q1, q2, l) = (1, 1, 2) file: header 12 bytes, then
+    # five 79-byte VQCB blocks (stage 1 at 12, stage 2 from 91)
+    @pytest.mark.parametrize("at, value", [
+        (8, 2),  # the VQMS version
+        (12 + 8, 2),  # the stage-1 block's version
+        (91 + 4, 1),  # a stage-2 block's magic padding
+        (91 + 79 + 10, 2),  # a stage-2 block's q_vq
+        (91 + 11, 5),  # a stage-2 block's codeword count
+    ], ids=["version", "stage-1 version", "stage-2 magic", "stage-2 q_vq",
+            "stage-2 count"])
+    def test_block_header_edit_of_the_same_length_refused(self, tmp_path,
+                                                          at, value):
+        path = tmp_path / "cb.vqms"
+        save_codebook(seeded_codebooks(MsvqSpec(1, 1, 2), seed=25), path, 15)
+        blob = bytearray(path.read_bytes())
+        blob[at] = value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="not the bytes"):
+            load_codebook(path)

@@ -107,6 +107,17 @@ class TestProfile:
             CompressionProfile.from_dict(profile)
 
     @pytest.mark.parametrize("profile", [
+        {"entropy_coding": 5}, {"q0": 2.0},
+        {"link": "downlink", "cp_removal": 0},
+        {"quantizer": {"kind": "vq", "l_vq": 2.0, "q_vq": 4}},
+        {"block_scaling": {"n_bs": 32, "q_bs": True}},
+    ], ids=lambda d: json.dumps(d))
+    def test_value_of_the_wrong_json_type_refused(self, profile):
+        # each of these compared equal to, or as, a value of the right type
+        with pytest.raises(ContractViolationError, match="must be"):
+            CompressionProfile.from_dict(profile)
+
+    @pytest.mark.parametrize("profile", [
         {"vector_seed": 0}, {"vector_seed": (1 << 64) - 1},
         {"q0": 1}, {"q0": 63}, {"l_sym": 1},
     ], ids=lambda d: json.dumps(d))

@@ -1,5 +1,4 @@
 import hashlib
-import io
 import math
 import tracemalloc
 
@@ -12,7 +11,8 @@ from fvq import pipeline
 from fvq import upmgq as ug
 from fvq.errors import ContractViolationError, FormatError
 from fvq.iqstream import IQStream
-from fvq.vq_core import Codebook, SearchCounter, save_codebook
+from fvq.artifacts import encode, load_codebook, save_codebook
+from fvq.vq_core import Codebook, SearchCounter
 from tests.conftest import seeded_codebooks
 
 
@@ -270,7 +270,7 @@ def test_trained_bytes_pinned(name, tmp_path):
     cb = ug.train_upmgq(_scaled_stream(n, sigma, seed), _cfg(*geometry),
                         trainer, seed=seed, trials=trials)
     path = tmp_path / "cb.upmg"
-    ug.save_upmgq(cb, path, 15)
+    save_codebook(cb, path, 15)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
 
@@ -280,8 +280,8 @@ class TestIo:
         s = _scaled_stream(9000, seed=19)
         cb = ug.train_upmgq(s, cfg, seed=20)
         path = tmp_path / "cb.upmg"
-        ug.save_upmgq(cb, path, 15)
-        loaded = ug.load_upmgq(path)
+        save_codebook(cb, path, 15)
+        loaded = load_codebook(path)
         assert (loaded.theta, loaded.q_low) == (cfg.theta, cfg.q_low)
         assert (loaded.high_vq.l_vq, loaded.high_vq.q_vq) == (cfg.l, cfg.q_high)
         assert path.read_bytes()[8:14] == bytes([1, 0xFF, 3, 2, 3, 15])
@@ -311,8 +311,8 @@ class TestIo:
         spec = pipeline.UpmgqSpec(theta=-1, q_high=3, l=2, q_low=2)
         cb = seeded_codebooks(spec, seed=3)
         path = tmp_path / "cb.upmg"
-        ug.save_upmgq(cb, path, 15)
-        ug.load_upmgq(path)  # the untouched file loads
+        save_codebook(cb, path, 15)
+        load_codebook(path)  # the untouched file loads
         blob = bytearray(path.read_bytes())
         k = cb.high_vq.size
         # "all 6" is a valid code, but not the one of the usage counts
@@ -329,10 +329,9 @@ class TestIo:
         elif case == "G2 block geometry":
             # a 2-word (l, q) = (1, 1) block, the grid and two valid code
             # lengths, padded to the size the header declares
-            small = io.BytesIO()
-            save_codebook(Codebook(1, 1, [[0.0], [1.0]], [1, 1]), small)
+            small = encode(Codebook(1, 1, [[0.0], [1.0]], [1, 1]), 15)
             grid = cb.low_sq.astype("<f4").tobytes()
-            head = blob[:14] + small.getvalue() + grid + b"\x01\x01"
+            head = blob[:14] + small + grid + b"\x01\x01"
             blob = head + bytes(len(blob) - len(head))
         else:
             value = math.nan if case == "NaN grid point" else 0.3
@@ -340,4 +339,4 @@ class TestIo:
             blob[at : at + 4] = np.float32(value).tobytes()
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
-            ug.load_upmgq(path)
+            load_codebook(path)

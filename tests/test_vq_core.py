@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import pickle
 import tracemalloc
 import warnings
@@ -10,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from fvq import entropy, frontend, msvq, pipeline, upmgq, vq_core
+from fvq import artifacts, entropy, frontend, msvq, pipeline, upmgq, vq_core
+from fvq.artifacts import load_codebook, save_codebook
 from fvq.errors import ContractViolationError, FormatError
 from fvq.iqstream import IQStream
 from fvq.vectorizer import VectorBatch, VectorLayout
@@ -20,10 +20,8 @@ from fvq.vq_core import (
     SearchCounter,
     dequantize_batch,
     lloyd_iterate,
-    load_codebook,
     nearest_codeword,
     quantize_batch,
-    save_codebook,
     train_classical,
     train_modified,
 )
@@ -742,13 +740,12 @@ class TestCodebookValue:
 
 
 class TestCodebookIo:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         cw = _random_codebook(2, 3, seed=15).codewords
         cb = Codebook(2, 3, cw, np.arange(len(cw)))
-        buf = io.BytesIO()
-        save_codebook(cb, buf)
-        buf.seek(0)
-        loaded = load_codebook(buf)
+        p = tmp_path / "cb.vqcb"
+        save_codebook(cb, p, 15)
+        loaded = load_codebook(p)
         assert (loaded.l_vq, loaded.q_vq) == (2, 3)
         np.testing.assert_array_equal(loaded.usage_counts, cb.usage_counts)
         np.testing.assert_allclose(
@@ -759,8 +756,8 @@ class TestCodebookIo:
         cb = _random_codebook(2, 2, seed=16)
         p1 = tmp_path / "a.vqcb"
         p2 = tmp_path / "b.vqcb"
-        save_codebook(cb, p1)
-        save_codebook(load_codebook(p1), p2)
+        save_codebook(cb, p1, 15)
+        save_codebook(load_codebook(p1), p2, 15)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic(self, tmp_path):
@@ -771,15 +768,15 @@ class TestCodebookIo:
 
     def test_trailing_byte_refused(self, tmp_path):
         p = tmp_path / "t.vqcb"
-        save_codebook(_random_codebook(1, 2, seed=17), p)
+        save_codebook(_random_codebook(1, 2, seed=17), p, 15)
         p.write_bytes(p.read_bytes() + b"\x00")
-        with pytest.raises(FormatError, match="trailing"):
+        with pytest.raises(FormatError, match="geometry gives 63 bytes, file has 64"):
             load_codebook(p)
 
     def test_truncated(self, tmp_path):
         cb = _random_codebook(1, 2, seed=17)
         p = tmp_path / "t.vqcb"
-        save_codebook(cb, p)
+        save_codebook(cb, p, 15)
         p.write_bytes(p.read_bytes()[:-5])
         with pytest.raises(FormatError):
             load_codebook(p)
@@ -792,7 +789,7 @@ class TestCodebookIo:
     ], ids=["l_vq 0", "l_vq*q_vq 64", "NaN codeword"])
     def test_hostile_header_refused(self, tmp_path, at, value):
         p = tmp_path / "h.vqcb"
-        save_codebook(_random_codebook(2, 2, seed=18), p)
+        save_codebook(_random_codebook(2, 2, seed=18), p, 15)
         blob = bytearray(p.read_bytes())
         blob[at : at + len(value)] = value
         p.write_bytes(bytes(blob))
@@ -803,7 +800,7 @@ class TestCodebookIo:
         # 2^24 declared codewords of l = 1: a 192 MiB body in a 15-byte file
         p = tmp_path / "big.vqcb"
         count = (1 << 24).to_bytes(4, "little")
-        p.write_bytes(vq_core.VQCB_MAGIC + bytes([1, 1, 24]) + count)
+        p.write_bytes(artifacts.VQCB + bytes([1, 1, 24]) + count)
         tracemalloc.start()
         try:
             with pytest.raises(FormatError):

@@ -23,6 +23,19 @@ def test_rejects_too_many_subcarriers():
         fvq.WaveformConfig(fft_size=256, used_subcarriers=300)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("num_symbols", True), ("snr_db", "5"), ("modulation", 5),
+])
+def test_value_of_the_wrong_type_refused(field, value):
+    with pytest.raises(ContractViolationError, match=f"{field} must be"):
+        fvq.WaveformConfig(**{field: value})
+
+
+def test_numpy_scalars_allowed():
+    cfg = fvq.WaveformConfig(num_symbols=np.int64(2), snr_db=np.float32(5.0))
+    assert len(fvq.generate(cfg)) == 2 * cfg.symbol_length
+
+
 def test_unit_power_noiseless():
     for link in ("downlink_ofdm", "uplink_scfdm"):
         s = fvq.generate(
