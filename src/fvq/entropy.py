@@ -244,16 +244,20 @@ def _bit_windows(payload: bytes, n: int, width: int) -> np.ndarray:
     buf = np.zeros(n_bytes + size, dtype=np.uint8)
     data = np.frombuffer(payload, dtype=np.uint8)[: len(buf)]
     buf[: len(data)] = data
-    # words[b]: the `size` bytes from byte b on, big-endian
-    words = np.empty(n_bytes, dtype=dtype)
+    # windows[b, s]: the window at bit s of byte b, so rows run in bit order
+    windows = np.empty((n_bytes, 8), dtype=dtype)
+    # column 0: the `size` bytes from byte b on, big-endian
+    words = windows[:, 0]
     for r in range(size):
         part = words[r::size]
         part[:] = np.frombuffer(buf, dtype.newbyteorder(">"), len(part), r)
-    # row s: the window at bit s of each byte, topped up from the next byte
-    shift = np.arange(8, dtype=np.uint8)[:, None]
-    windows = words << shift.astype(dtype)
-    windows |= buf[size:] >> (8 - shift)
-    return windows.T.reshape(-1)[:n]
+    # column s: the word shifted by s, topped up from the next byte
+    tail = buf[size:].astype(dtype)
+    for s in range(1, 8):
+        column = windows[:, s]
+        np.left_shift(words, dtype.type(s), out=column)
+        column |= tail >> dtype.type(8 - s)
+    return windows.reshape(-1)[:n]
 
 
 def decode(table: HuffmanTable, payload: bytes, count: int) -> np.ndarray:

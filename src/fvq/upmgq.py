@@ -66,6 +66,9 @@ class UpmgqConfig:
             raise ContractViolationError("need q_high >= 1, l >= 1, q_low >= 0")
         if self.q_high * self.l > 62 or self.q_low > 62:
             raise ContractViolationError("resolution overflows")
+        # the UPMG header stores theta as an int8
+        if not -128 <= self.theta <= 127:
+            raise ContractViolationError("theta must lie in [-128, 127]")
 
 
 @dataclass(frozen=True, eq=False)

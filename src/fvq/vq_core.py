@@ -10,9 +10,10 @@ the chain is returned.
 
 VQ, each MSVQ stage and UPMGQ's G2 are `Codebook`s: values, trained once
 and then used unchanged. Codewords and usage counts are read-only copies;
-the k-d tree (`tree`), candidate grid (`grid`) and Huffman table (`table`,
-from the usage counts) are each built on first use and kept with the
-codebook, but not pickled with it. `trainer(name)` gives a trainer.
+the k-d tree (`tree`), candidate grid (`grid`), lattice table (`lattice`)
+and Huffman table (`table`, from the usage counts) are each built on first
+use and kept with the codebook, but not pickled with it. `trainer(name)`
+gives a trainer.
 
 Nearest-codeword search (`_nearest`) has two paths, chosen by codebook size
 K. Below `_TREE_MIN_CODEWORDS` it is brute force: one matrix product per
@@ -54,6 +55,21 @@ a cell that would list more than `_GRID_SLOTS` codewords, takes `_nearest`
 through the codebook's tree, so a duplicate-heavy codebook keeps the tree
 for most of its vectors. Every index equals `_nearest`'s. Training and the
 MSVQ stage-2 searches build trees of their own.
+
+A codebook whose codewords are all non-negative integers, in at most 3
+dimensions, also has a `lattice`: the nearest-codeword index, as uint16, of
+every integer point of the box [0, 2 m_a + 1] on each axis a, where m_a is
+the largest codeword coordinate on that axis, found by `_nearest` over those
+points. It is built only when the box holds at most
+`_LATTICE_MAX_POINTS` points; otherwise it is None. UPMGQ's G2 is such a
+codebook, and its vectors are integers too. `quantize_batch` reads a vector
+whose coordinates are integers inside the box from the table, and sends
+every other vector to `_frozen_nearest`. The table holds the brute-force
+index: with integer coordinates below 2^18, |c|^2 - 2 v.c and |v - c|^2 are
+integers below 2^53, exact in float64 in any summation order, so bit-equal
+distances are exact ties and distinct ones differ by at least 1. The
+rounding exception above cannot arise, and every path gives the lowest
+index among the exactly nearest codewords.
 
 Where training needs the distance to the chosen codeword (`_assign`), it is
 computed from the index alone, as (-2 v.c_j + |c_j|^2) + |v|^2 clamped at 0,
@@ -122,10 +138,16 @@ _GRID_CELLS_PER_CODEWORD = 4
 # sparse or duplicated) lists none and its vectors take the tree path, so a
 # grid's list never takes more than 64 bytes per cell, whatever the codebook.
 _GRID_SLOTS = 32
-# Cells per k-d tree query while a grid is built, and candidate slots per
-# chunk of a grid search: the transient arrays stay a few MiB.
+# Cells per k-d tree query while a grid is built (points per search while
+# a lattice is built), and candidate slots per chunk of a grid search: the
+# transient arrays stay a few MiB.
 _GRID_BUILD_CELLS = 4096
 _GRID_SEARCH_SLOTS = 1 << 16
+
+# Integer codebooks that `quantize_batch` reads from a lattice table: in at
+# most 3 dimensions, over a box of at most this many integer points (512 KiB
+# of uint16 indices).
+_LATTICE_MAX_POINTS = 1 << 18
 
 # Relative gap, against |v|^2 + max |c|^2, under which the two nearest
 # codewords count as tied and the brute-force search decides.
@@ -264,6 +286,27 @@ class Codebook:
                 or self.l_vq > _GRID_MAX_DIM):
             return None
         return _build_grid(self.codewords, self.tree)
+
+    @functools.cached_property
+    def lattice(self):
+        """Nearest-codeword index of every integer point of the box
+        [0, 2 max c + 1] per axis, as uint16 of that shape; None unless
+        every codeword is a non-negative integer, l_vq <= 3 and the box
+        has at most `_LATTICE_MAX_POINTS` points (module docstring)."""
+        cw = self.codewords
+        if (self.size > _GRID_MAX_CODEWORDS or self.l_vq > _GRID_MAX_DIM
+                or (cw < 0).any() or (cw != np.floor(cw)).any()):
+            return None
+        shape = tuple(2 * int(m) + 2 for m in cw.max(axis=0))
+        n = math.prod(shape)
+        if n > _LATTICE_MAX_POINTS:
+            return None
+        table = np.empty(n, dtype=np.uint16)
+        for a in range(0, n, _GRID_BUILD_CELLS):
+            flat = np.arange(a, min(a + _GRID_BUILD_CELLS, n))
+            points = np.stack(np.unravel_index(flat, shape), axis=1)
+            table[flat] = _nearest(points.astype(np.float64), cw, self.tree)
+        return table.reshape(shape)
 
 
 def codebook_size(l_vq: int, q_vq: int) -> int:
@@ -707,10 +750,32 @@ def quantize_batch(
     vecs = _as_vectors(vectors)
     if vecs.shape[1] != codebook.l_vq:
         raise ContractViolationError("vector length != codebook l_vq")
-    cw = codebook.codewords
-    idx = _frozen_nearest(vecs, cw, codebook.grid, codebook.tree)
+    if codebook.lattice is None:
+        idx = _frozen_nearest(vecs, codebook.codewords, codebook.grid,
+                              codebook.tree)
+    else:
+        idx = _lattice_nearest(vecs, codebook)
     if counter is not None:
         counter.add(codebook.size * len(vecs), len(vecs))
+    return idx
+
+
+def _lattice_nearest(vectors, codebook):
+    """`quantize_batch` through the codebook's `lattice`: one table read
+    for every vector with integer coordinates inside the box,
+    `_frozen_nearest` for the others."""
+    _check_finite(vectors)
+    lattice = codebook.lattice
+    # clipped into the box, only such a vector survives the cast unchanged
+    points = np.clip(vectors, 0, np.subtract(lattice.shape, 1))
+    points = points.astype(np.intp)
+    hit = (points == vectors).all(axis=1)
+    flat = np.ravel_multi_index(tuple(points.T), lattice.shape)
+    idx = np.take(lattice, flat).astype(np.int64)
+    rows = np.flatnonzero(~hit)
+    if rows.size:
+        idx[rows] = _frozen_nearest(vectors[rows], codebook.codewords,
+                                    codebook.grid, codebook.tree)
     return idx
 
 

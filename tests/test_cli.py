@@ -636,3 +636,13 @@ class TestOneParseRule:
             assert "work started" in str(exc)
         else:
             assert code == 3
+
+
+@pytest.mark.parametrize("theta", [-129, 128, 200])
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_upmgq_theta_beyond_a_byte_exit_code_4(command, scratch, theta):
+    # the UPMG header stores theta as an int8: the profile is refused when
+    # parsed, before any training
+    config = copy.deepcopy(FULL)
+    config["quantizer"]["theta"] = theta
+    assert _run_parse_only(command, config, scratch) == 4

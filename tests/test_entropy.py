@@ -387,6 +387,19 @@ class TestCappedDoublingDecode:
 
     T = ec._SPAN
 
+    @settings(max_examples=150, deadline=None)
+    @given(payload=st.binary(max_size=48), width=st.sampled_from([32, 64]),
+           data=st.data())
+    def test_bit_windows_against_per_bit_reference(self, payload, width, data):
+        # every bit start, a ragged tail included; bits past the end read 0
+        n = data.draw(st.integers(0, 8 * len(payload)), label="n")
+        bits = np.unpackbits(np.frombuffer(payload + bytes(8), np.uint8))
+        want = [int("".join(map(str, bits[p : p + width])), 2)
+                for p in range(n)]
+        got = ec._bit_windows(payload, n, width)
+        assert got.dtype == np.dtype(f"uint{width}")
+        assert got.tolist() == want
+
     @pytest.mark.parametrize("count", [1, T - 1, T, T + 1, 2 * T, 3 * T,
                                        5 * T + 7])
     def test_counts_around_the_span(self, count):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fvq
-from fvq import pipeline
+from fvq import pipeline, vq_core
 from fvq import upmgq as ug
 from fvq.errors import ContractViolationError, FormatError
 from fvq.iqstream import IQStream
@@ -106,6 +107,20 @@ class TestTraining:
         assert np.array_equal(
             cb.high_vq.codewords, np.round(cb.high_vq.codewords)
         )
+
+    @pytest.mark.parametrize("theta", [-129, 128, 200])
+    def test_theta_beyond_the_header_refused(self, theta):
+        # the UPMG header stores theta as an int8, so a profile that could
+        # not be saved is refused when built, before any training
+        with pytest.raises(ContractViolationError, match="theta"):
+            _cfg(theta)
+        with pytest.raises(ContractViolationError, match="theta"):
+            pipeline.UpmgqSpec(theta=theta)
+
+    @pytest.mark.parametrize("theta", [-128, 127])
+    def test_theta_at_the_header_limits(self, theta):
+        cb = ug.UpmgqCodebook(Codebook(1, 1, [[0.0], [1.0]], [1, 1]), theta)
+        assert encode(cb, 15)[9] == theta & 0xFF
 
     def test_low_grid_inside_range(self):
         for theta in (-2, 0, 3):
@@ -219,6 +234,32 @@ class TestQuantize:
         low = ug._expand_components(comps, theta)[2]
         ref = np.argmin(np.abs(low[:, None] - cb.low_sq[None, :]), axis=1)
         np.testing.assert_array_equal(ind.g3_codes, ref)
+
+    def test_compress_through_the_lattice(self, uplink_corpus):
+        # a trained G2 codebook is searched through its lattice: the same
+        # indices as brute force, the paper-model count, and the codebook
+        # pickles and encodes as it did before it was used
+        spec = pipeline.UpmgqSpec(theta=-1, q_high=5, l=2, q_low=3, q_scale=6)
+        profile = pipeline.CompressionProfile(
+            link="uplink", decimation=fvq.ResamplerSpec(5, 8),
+            block_scaling=pipeline.BlockScalingSpec(32, 8), quantizer=spec,
+            entropy_coding=True,
+        )
+        cb = pipeline.train_for_profile(uplink_corpus, profile, trials=1, seed=5)
+        before = pickle.dumps(cb), encode(cb, profile.q0)
+        bits = pipeline.compress(uplink_corpus, profile, cb, SearchCounter())
+        assert cb.high_vq.lattice is not None
+        assert (pickle.dumps(cb), encode(cb, profile.q0)) == before
+        g2 = bits.stats.search_counters["upmgq_g2"]
+        n = bits.stats.n_vectors
+        assert (g2.items, g2.distance_evals) == (n, cb.high_vq.size * n)
+        x = pipeline.frontend_transform(uplink_corpus, profile)
+        comps = np.concatenate([x.samples.real, x.samples.imag])
+        high = ug._expand_components(comps, spec.theta)[1]
+        vecs = ug._g2_vectors(high, spec.theta, spec.l)
+        want = vq_core._brute_nearest(vecs, cb.high_vq.codewords)
+        got = ug.quantize_upmgq(cb, spec, x).g2_indices
+        assert got.tobytes() == want.tobytes()
 
     def test_g3_memory_does_not_grow_with_the_grid(self):
         # the G3 codes cost O(components) memory, not O(components * 2^q_low)

@@ -457,6 +457,110 @@ class TestBoundedDescent:
         assert (lo <= d.min(axis=1) * (1 + 1e-12)).all()
 
 
+def _lattice_case(l, q, top, dup_rows, tie_rows, seed):
+    """A non-negative integer codebook of 2^(l*q) words up to `top`, with
+    `dup_rows` duplicated words, and vectors of every kind: integer ones
+    inside the lattice box, midpoints of codeword pairs (exact ties),
+    integer ones past the box or below 0, and non-integer ones."""
+    rng = np.random.default_rng(seed)
+    k = 1 << (l * q)
+    codewords = rng.integers(0, top + 1, (k, l)).astype(np.float64)
+    copies = rng.integers(0, k, (2, dup_rows))
+    codewords[copies[0]] = codewords[copies[1]]
+    edge = 2 * top + 2  # the box holds 0 .. edge - 1 per axis
+    pairs = codewords[rng.integers(0, k, (tie_rows, 2))]
+    vectors = np.concatenate([
+        rng.integers(0, edge, (200, l)),
+        pairs.sum(axis=1) / 2.0,
+        rng.integers(edge, 2 * edge + 3, (20, l)),
+        rng.integers(-4, 0, (20, l)),
+        rng.integers(0, edge, (40, l))
+        + rng.choice([0.5, 1e-9, -0.25], (40, l)),
+        codewords[rng.integers(0, k, 20)],
+        [np.zeros(l), np.full(l, edge - 1.0), np.full(l, float(edge)),
+         np.full(l, -0.0)],
+    ]).astype(np.float64)
+    # integer rows with one coordinate past the box or negative (the 20
+    # codeword rows)
+    vectors[-24:-4, rng.integers(0, l)] = rng.choice([-1.0, edge], 20)
+    return codewords, rng.permutation(vectors)
+
+
+class TestLatticeSearch:
+    """A non-negative integer codebook is searched through its lattice."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lq=st.sampled_from([(1, 1), (1, 4), (1, 9), (1, 10), (2, 1), (2, 3),
+                            (2, 5), (3, 1), (3, 2), (3, 3)]),
+        top=st.integers(0, 30),
+        dup_rows=st.integers(0, 64),
+        tie_rows=st.integers(0, 100),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_brute_force(self, lq, top, dup_rows, tie_rows, seed):
+        l, q = lq
+        codewords, vectors = _lattice_case(l, q, top, dup_rows, tie_rows, seed)
+        cb = Codebook(l, q, codewords)
+        assert cb.lattice is not None and cb.lattice.dtype == np.uint16
+        want = vq_core._brute_nearest(vectors, codewords)
+        got = quantize_batch(cb, vectors)
+        assert got.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+
+    def test_box_bounded_by_the_largest_codeword(self):
+        cw = np.array([[0.0, 3.0], [5.0, 1.0], [2.0, 2.0], [4.0, 0.0]])
+        cb = Codebook(2, 1, cw)
+        assert cb.lattice.shape == (12, 8)
+        points = np.indices(cb.lattice.shape).reshape(2, -1).T.astype(float)
+        want = vq_core._brute_nearest(points, cw)
+        np.testing.assert_array_equal(cb.lattice.reshape(-1), want)
+
+    def test_build_memory_bounded(self):
+        # 160,000 points against a codebook searched by brute force: the
+        # build searches them a chunk at a time
+        cw = np.random.default_rng(10).integers(0, 200, (256, 2))
+        cw[0] = 199
+        cb = Codebook(2, 4, cw)
+        tracemalloc.start()
+        try:
+            lattice = cb.lattice
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lattice.size == 400 * 400
+        assert peak < 16 << 20
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_refused(self, bad):
+        cw = np.random.default_rng(8).integers(0, 40, (1024, 2))
+        cb = Codebook(2, 5, cw)
+        assert cb.lattice is not None
+        vectors = np.ones((10, 2))
+        vectors[3, 1] = bad
+        with pytest.raises(ContractViolationError, match="finite"):
+            quantize_batch(cb, vectors)
+
+    @pytest.mark.parametrize("change", [
+        "non-integer", "negative", "box too large", "four dimensions",
+    ])
+    def test_no_lattice(self, change):
+        rng = np.random.default_rng(9)
+        l = 4 if change == "four dimensions" else 2
+        cw = rng.integers(0, 20, (1 << (2 * l), l)).astype(np.float64)
+        if change == "non-integer":
+            cw[7, 1] += 0.5
+        elif change == "negative":
+            cw[7, 1] = -1.0
+        elif change == "box too large":
+            cw[7, 1] = 2.0**20
+        cb = Codebook(l, 2, cw)
+        assert cb.lattice is None
+        vectors = rng.integers(0, 40, (300, l)).astype(np.float64)
+        got = quantize_batch(cb, vectors)
+        assert got.tobytes() == vq_core._brute_nearest(vectors, cw).tobytes()
+
+
 @pytest.mark.parametrize("q_vq", [2, 5])  # 16 words: brute force; 1024: k-d tree
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize(
