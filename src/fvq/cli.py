@@ -13,6 +13,12 @@ starts, under one rule (`_block`): a value of the wrong type or shape, or a
 missing or unknown key, in the chain, in any block or in any sweep point is
 a contract violation. Nothing after parsing runs under that rule.
 
+Corpora follow the chain: every corpus (the "waveform" block's train/eval
+pair and each "eval" corpus) takes its symbol geometry and link from the
+chain's l_sym, l_cp, used_subcarriers and link. A corpus block holds only
+the conditions of the corpus, and a sweep point may not change the
+geometry or the link, since every point runs on the one corpus pair.
+
 Exit codes: 0 ok, 2 usage, 3 data/format error, 4 contract violation.
 """
 
@@ -46,6 +52,11 @@ _EVAL = {"corpora": dict, "eval_seed_offset": int}
 _SWEEP = {"points": list, "eval_seed_offset": int}
 _POINT = {"label": str, "quantizer": dict, "profile": dict}
 _CHANNELS = ("awgn", "multipath")
+# WaveformConfig fields a corpus block may not set -> the chain key that does
+_CHAIN_DECIDES = {"fft_size": "l_sym", "cp_length": "l_cp",
+                  "used_subcarriers": "used_subcarriers", "link": "link"}
+_LINKS = {pipeline.UPLINK: waveform.Link.UPLINK_SCFDM,
+          pipeline.DOWNLINK: waveform.Link.DOWNLINK_OFDM}
 
 
 def _parse_set(value):
@@ -91,17 +102,27 @@ def _typed(block, types) -> dict:
     return block
 
 
-def _waveforms(block, seed_offset):
-    """The (train, eval) (WaveformConfig, channel) pair of a "waveform"
-    block: the eval seed is the train seed plus `seed_offset`, and a null
-    or absent snr_db is noiseless."""
+def _waveforms(block, seed_offset, profile):
+    """The (train, eval) (WaveformConfig, channel) pair of a corpus block on
+    the chain `profile`'s symbol geometry and link: the eval seed is the
+    train seed plus `seed_offset`, and a null or absent snr_db is
+    noiseless."""
     block = {**block}
+    for key in sorted(block.keys() & _CHAIN_DECIDES):
+        raise ContractViolationError(
+            f"a corpus block cannot set {key!r}: corpora take the chain's "
+            f"{_CHAIN_DECIDES[key]!r}"
+        )
     channel = block.pop("channel", "awgn")
     if channel not in _CHANNELS:
         raise ValueError(f"unknown channel {channel!r}")
     if block.get("snr_db") is None:
         block["snr_db"] = math.inf
-    cfg = waveform.WaveformConfig(**block)
+    cfg = waveform.WaveformConfig(
+        fft_size=profile.l_sym, cp_length=profile.l_cp,
+        used_subcarriers=profile.used_subcarriers, link=_LINKS[profile.link],
+        **block,
+    )
     shifted = dataclasses.replace(cfg, seed=cfg.seed + seed_offset)
     return (cfg, channel), (shifted, channel)
 
@@ -121,33 +142,40 @@ def _point(point, chain):
     """(label, quantizer JSON, profile) of one sweep point: the chain with
     the point's "profile" keys and its quantizer."""
     q = _typed(point, _POINT)["quantizer"]
+    chain_keys = point.get("profile", {}).keys()
+    for key in sorted(chain_keys & set(_CHAIN_DECIDES.values())):
+        raise ContractViolationError(
+            f"a sweep point cannot set {key!r}: every point runs on the "
+            "corpora of the top-level chain"
+        )
     profile = pipeline.CompressionProfile.from_dict(
         {**chain, **point.get("profile", {}), "quantizer": q}
     )
     return point.get("label", profile.quantizer.kind), q, profile
 
 
-def _eval_corpora(block) -> dict:
+def _eval_corpora(block, profile) -> dict:
     """label -> (train, eval) waveform pair for each "eval" corpus."""
     offset = _typed(block, _EVAL).get("eval_seed_offset", 7777)
-    return {label: _waveforms(wf, offset)
+    return {label: _waveforms(wf, offset, profile)
             for label, wf in block["corpora"].items()}
 
 
 def _parse(config: dict) -> SimpleNamespace:
     """Every block of a resolved config, parsed completely (`_block`)."""
     chain = {k: v for k, v in config.items() if k not in _BLOCKS}
+    profile = _block("profile", pipeline.CompressionProfile.from_dict, chain)
     sweep = _block("sweep block", _typed, config.get("sweep", {}), _SWEEP)
     return SimpleNamespace(
         config=config,
-        profile=_block("profile", pipeline.CompressionProfile.from_dict, chain),
+        profile=profile,
         # (train, eval) waveforms, eval seeds shifted by the sweep's offset
         waves=_block("waveform block", _waveforms, config.get("waveform", {}),
-                     sweep.get("eval_seed_offset", 7777)),
+                     sweep.get("eval_seed_offset", 7777), profile),
         training=_block("training block", _training,
                         config.get("training", {})),
         corpora=_block("eval block", _eval_corpora,
-                       config.get("eval", {"corpora": {}})),
+                       config.get("eval", {"corpora": {}}), profile),
         points=[_block(f"sweep point {i}", _point, p, chain)
                 for i, p in enumerate(sweep.get("points", []))],
     )

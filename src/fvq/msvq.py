@@ -154,13 +154,14 @@ def quantize_msvq(
     """(stage-1 indices, stage-2 indices) for a batch of vectors. Stage 1
     is one codebook searched whole (`quantize_batch`). A stage-2 codebook
     sees only its cell's vectors (`_cells`), and with up to 2^(l*q1) of them
-    a grid each would cost more memory than it saves: they keep `_nearest`."""
+    a grid each would cost more memory than it saves: they keep `_nearest`,
+    through each codebook's own k-d `tree`."""
     vecs = _as_vectors(vectors)
     i1 = quantize_batch(cb.stage1, vecs)  # checks the vector length
     i2 = np.empty(len(vecs), dtype=np.int64)
     evals = cb.stage1.size * len(vecs)
     for sub, rows in zip(cb.stage2, _cells(i1, cb.stage1.size)):
-        i2[rows] = _nearest(vecs[rows], sub.codewords)
+        i2[rows] = _nearest(vecs[rows], sub.codewords, sub.tree)
         evals += sub.size * len(rows)
     if counter is not None:
         counter.add(evals, len(vecs))

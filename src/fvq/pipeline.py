@@ -274,7 +274,8 @@ class UpmgqSpec(UpmgqConfig):
             raise ContractViolationError("UPMGQ geometry mismatch")
 
     def train(self, x, profile, trainer, trials, stop, seed):
-        cb = upmgq.train_upmgq(x, self, trainer, stop, seed, trials)
+        cb = upmgq.train_upmgq(x, self, trainer, stop, seed, trials,
+                               profile.vector_method, profile.vector_seed)
         log.info("G2 distortion %.6g", cb.high_vq.training_meta.final_distortion)
         return cb
 
@@ -291,7 +292,8 @@ class UpmgqSpec(UpmgqConfig):
         g2, g3 = (None, None) if counter is None else (
             SearchCounter(), SearchCounter()
         )
-        ind = quantize_upmgq(cb, self, x, g2, g3)
+        ind = quantize_upmgq(cb, self, x, g2, g3, profile.vector_method,
+                             profile.vector_seed)
         codes = ind.sign_negative, ind.g2_indices, ind.g3_codes
         _write_streams(bits, self.streams(cb, profile.entropy_coding), codes)
         stats = bits.stats
@@ -304,7 +306,8 @@ class UpmgqSpec(UpmgqConfig):
 
     def dequantize(self, bits, profile, cb, rate):
         codes = _read_streams(bits, self.streams(cb, profile.entropy_coding))
-        return dequantize_upmgq(cb, self, UpmgqIndices(*codes), rate)
+        return dequantize_upmgq(cb, self, UpmgqIndices(*codes), rate,
+                                profile.vector_method, bits.perm_seed)
 
     def gain_stats(self, stats, q0):
         n_comp = max(stats.section_bits.get(SEC_SIGN, 0), 1)
@@ -332,7 +335,7 @@ class RawSpec:
         return None
 
     def quantize(self, x, profile, cb, bits, counter):
-        comps = np.concatenate([x.samples.real, x.samples.imag])
+        comps = _vectors(x, profile, 1).ravel()  # in the vector layout
         if not np.isfinite(comps).all():
             raise ContractViolationError("samples must be finite")
         peak = float(np.max(np.abs(comps))) if comps.size else 0.0
@@ -349,10 +352,12 @@ class RawSpec:
             raise MalformedBitstreamError(
                 f"raw-mode scale {bits.raw_scale} is not positive and finite"
             )
-        m = bits.m_dec
         (codes,) = _read_streams(bits, [(SEC_RAW, profile.q0, 1, None)])
         comps = (codes - (1 << (profile.q0 - 1))) / bits.raw_scale
-        return IQStream(comps[:m] + 1j * comps[m:], rate)
+        batch = VectorBatch(1, comps, profile.vector_method,
+                            permutation_seed=bits.perm_seed,
+                            original_count=2 * bits.m_dec)
+        return devectorize(batch, rate)
 
     def gain_stats(self, stats, q0):
         stats.quantizer_gain = 1.0
@@ -867,7 +872,6 @@ def evaluate_chain(
     profile: CompressionProfile,
     codebooks=None,
     counter: SearchCounter = None,
-    corpus_meta: dict = None,
 ) -> EvalReport:
     """Compress + decompress one stream and measure EVM/CR (and SO/CS when a
     counter is supplied)."""
@@ -898,5 +902,5 @@ def evaluate_chain(
         l_high=stats.l_high,
         l_low=stats.l_low,
         profile_digest=f"{profile.digest():016x}",
-        corpus=dict(corpus_meta or stream.meta),
+        corpus=dict(stream.meta),
     )

@@ -20,11 +20,13 @@ float: high truncates |s| at bit position theta, so both parts and their sum
 are exactly representable.
 
 `UpmgqConfig` (theta, q_high, l, q_low) is the one geometry type, which the
-pipeline's `UpmgqSpec` extends. G2 is a plain `vq_core.Codebook` over the
-high parts' rows of l, coded under its `table`; the G3 grid follows from
-theta and q_low. Quantization expands a frame once. A UPMG file
-(`artifacts`) stores the grid and the G2 code lengths too, and loads only if
-they are the ones the geometry and the G2 usage counts give.
+pipeline's `UpmgqSpec` extends. The components are taken in the profile's
+vector layout (`vectorizer.vectorize`), as VQ and MSVQ take them: G2 is a
+plain `vq_core.Codebook` over the high parts in its rows of l, coded under
+its `table`, and the sign and G3 codes follow the same component order. The
+G3 grid follows from theta and q_low. Quantization expands a frame once. A
+UPMG file (`artifacts`) stores the grid and the G2 code lengths too, and
+loads only if they are the ones the geometry and the G2 usage counts give.
 """
 
 import math
@@ -36,7 +38,7 @@ from . import vq_core
 from .entropy import build_huffman, estimate_pmf  # noqa: F401 (bench/tracing.py)
 from .errors import ContractViolationError
 from .iqstream import IQStream
-from .vectorizer import devectorize, vectorize  # noqa: F401 (bench/tracing.py)
+from .vectorizer import VectorBatch, VectorLayout, devectorize, vectorize
 from .vq_core import (
     CLASSICAL,
     Codebook,
@@ -95,8 +97,9 @@ def _midpoints(codes, theta: int, q_low: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class UpmgqIndices:
-    """Quantizer output: per-component sign bits and G3 codes (component
-    order is all I, then all Q), plus per-vector G2 indices."""
+    """Quantizer output: per-component sign bits and G3 codes (in the
+    vector layout's component order; all I, then all Q under method 1),
+    plus per-vector G2 indices."""
 
     sign_negative: np.ndarray  # (2M,) 0/1
     g2_indices: np.ndarray  # (ceil(2M / l),) int64
@@ -146,12 +149,18 @@ def level_statistics(stream: IQStream, levels=range(-8, 8)) -> LevelStats:
     return LevelStats(levels, p, float(np.mean(comps < 0)))
 
 
-def _g2_vectors(high: np.ndarray, theta: int, l: int) -> np.ndarray:
-    """G2 vectors: the high parts of 2M components (all I, then all Q) over
-    2^theta, in rows of l, the last one zero-padded."""
-    norm = np.zeros(-(-len(high) // l) * l)
-    np.multiply(high, math.ldexp(1.0, -theta), out=norm[: len(high)])
-    return norm.reshape(-1, l)
+def _expand_layout(stream: IQStream, cfg: UpmgqConfig, method, vector_seed):
+    """(sign, G2 vectors, low) of the stream's 2M components in the vector
+    layout (`vectorize`): sign and low one per component, and the G2
+    vectors the high parts over 2^theta in rows of l, the last one
+    zero-padded."""
+    if len(stream) == 0:
+        raise ContractViolationError("empty stream")
+    comps = vectorize(stream, method, cfg.l, vector_seed).vectors
+    neg, high, low = _expand_components(comps, cfg.theta)
+    high *= math.ldexp(1.0, -cfg.theta)
+    n = 2 * len(stream)
+    return neg.ravel()[:n], high, low.ravel()[:n]
 
 
 def train_upmgq(
@@ -161,18 +170,18 @@ def train_upmgq(
     stop: LloydStop = None,
     seed: int = 0,
     trials: int = 1,
+    method: VectorLayout = VectorLayout.METHOD1,
+    vector_seed: int = 0,
 ) -> UpmgqCodebook:
-    """Train the G2 codebook on normalized high parts and fix the G3 grid.
+    """Train the G2 codebook on normalized high parts, formed in the vector
+    layout `method` (`vector_seed` for method 3), and fix the G3 grid.
 
     The G2 Lloyd result is rounded to non-negative integers (the high parts
     are integer multiples of 2^theta by construction) and usage counts, from
     which its Huffman table follows, are re-measured on the rounded codebook.
     """
     train = vq_core.trainer(trainer)
-    if len(stream) == 0:
-        raise ContractViolationError("empty stream")
-    comps = np.concatenate([stream.samples.real, stream.samples.imag])
-    vecs = _g2_vectors(_expand_components(comps, cfg.theta)[1], cfg.theta, cfg.l)
+    vecs = _expand_layout(stream, cfg, method, vector_seed)[1]
     cb = train(vecs, cfg.q_high, trials, stop, seed)
     rounded = np.maximum(np.round(cb.codewords), 0.0)
     usage = np.bincount(_nearest(vecs, rounded), minlength=len(rounded))
@@ -186,23 +195,23 @@ def quantize_upmgq(
     stream: IQStream,
     g2_counter: SearchCounter = None,
     g3_counter: SearchCounter = None,
+    method: VectorLayout = VectorLayout.METHOD1,
+    vector_seed: int = 0,
 ) -> UpmgqIndices:
-    """Quantize a normalized stream into (G1, G2, G3) index groups.
+    """Quantize a normalized stream into (G1, G2, G3) index groups, its
+    components taken in the vector layout `method` (`vector_seed` for
+    method 3).
 
     G2 searches (one per vector) are counted into `g2_counter`, G3 searches
     (one per component) into `g3_counter`."""
-    if len(stream) == 0:
-        raise ContractViolationError("empty stream")
-    comps = np.concatenate([stream.samples.real, stream.samples.imag])
-    neg, high, low = _expand_components(comps, cfg.theta)
-    g2 = quantize_batch(cb.high_vq, _g2_vectors(high, cfg.theta, cfg.l),
-                        g2_counter)
+    neg, vecs, low = _expand_layout(stream, cfg, method, vector_seed)
+    g2 = quantize_batch(cb.high_vq, vecs, g2_counter)
     # G3: the nearest midpoint, ties (cell edges) to the lower code; the
     # counter adds the closed-form count like every other search.
     g3 = np.ceil(low * math.ldexp(1.0, cb.q_low - cb.theta)).astype(np.int64)
     g3 = np.clip(g3 - 1, 0, (1 << cb.q_low) - 1)
     if g3_counter is not None:
-        g3_counter.add((1 << cb.q_low) * len(comps), len(comps))
+        g3_counter.add((1 << cb.q_low) * len(low), len(low))
     return UpmgqIndices(neg.astype(np.uint8), g2, g3)
 
 
@@ -211,8 +220,11 @@ def dequantize_upmgq(
     cfg: UpmgqConfig,
     indices: UpmgqIndices,
     sample_rate=1,
+    method: VectorLayout = VectorLayout.METHOD1,
+    vector_seed: int = 0,
 ) -> IQStream:
-    """Rebuild the stream: sign * (2^theta * G2 component + G3 midpoint)."""
+    """Rebuild the stream: sign * (2^theta * G2 component + G3 midpoint),
+    the components in the vector layout `quantize_upmgq` took them in."""
     n = len(indices.sign_negative)
     if n % 2:
         raise ContractViolationError("component count must be even")
@@ -221,13 +233,14 @@ def dequantize_upmgq(
         raise ContractViolationError("index group lengths are inconsistent")
     if g3.min(initial=0) < 0 or g3.max(initial=0) >= 1 << cb.q_low:
         raise ContractViolationError("G3 code out of range")
-    high = dequantize_batch(cb.high_vq, g2).reshape(-1)[:n]
-    high *= math.ldexp(1.0, cfg.theta)
+    comps = dequantize_batch(cb.high_vq, g2).reshape(-1)
+    comps *= math.ldexp(1.0, cfg.theta)
     low = _midpoints(g3, cb.theta, cb.q_low)
     sign = 1.0 - 2.0 * indices.sign_negative.astype(np.float64)
-    comps = sign * (high + low)
-    m = n // 2
-    return IQStream(comps[:m] + 1j * comps[m:], sample_rate)
+    comps[:n] = sign * (comps[:n] + low)  # the padding is trimmed below
+    batch = VectorBatch(cfg.l, comps, method, permutation_seed=vector_seed,
+                        original_count=n)
+    return devectorize(batch, sample_rate)
 
 
 def cr_upmgq(l_high: float, l_upmgq: int, l_low: float, q0: int) -> float:

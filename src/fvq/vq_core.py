@@ -192,11 +192,8 @@ class SearchCounter:
 
 @dataclass
 class TrainingMeta:
-    algorithm: str
-    trials: int
     iterations: int
     final_distortion: float
-    seed: int
     trial_distortions: list = field(default_factory=list)
     distortion_trace: list = field(default_factory=list)
     repair_events: int = 0
@@ -675,7 +672,7 @@ def _seed_key(seed) -> list:
     return [int(seed)]
 
 
-def _best_of_trials(vectors, q_vq, trials, stop, seed, algorithm, init):
+def _best_of_trials(vectors, q_vq, trials, stop, seed, init):
     """Run `trials` Lloyd descents and return the codebook with the lowest
     final distortion. `init(t, vecs, size, key, rms, prev)` gives trial t's
     initial codewords; `prev` is trial t-1's output (None for t = 0), `key`
@@ -702,8 +699,7 @@ def _best_of_trials(vectors, q_vq, trials, stop, seed, algorithm, init):
         if best is None or d < best[1]:
             best = (cw, d, trace, usage, repairs)
     cw, d, trace, usage, repairs = best
-    meta = TrainingMeta(algorithm, trials, len(trace) - 1, d, seed,
-                        trial_ds, trace, repairs)
+    meta = TrainingMeta(len(trace) - 1, d, trial_ds, trace, repairs)
     return Codebook(l_vq, q_vq, cw, usage, meta)
 
 
@@ -722,7 +718,7 @@ def train_classical(
     def init(t, vecs, size, key, rms, prev):
         return _init_codewords(vecs, size, np.random.default_rng(key + [t]))
 
-    return _best_of_trials(vectors, q_vq, trials, stop, seed, CLASSICAL, init)
+    return _best_of_trials(vectors, q_vq, trials, stop, seed, init)
 
 
 def train_modified(
@@ -740,7 +736,7 @@ def train_modified(
         scale = _RESCALE_OVERSHOOT * rms / cb_rms if cb_rms > 0 else 1.0
         return prev * scale
 
-    return _best_of_trials(vectors, q_vq, trials, stop, seed, MODIFIED, init)
+    return _best_of_trials(vectors, q_vq, trials, stop, seed, init)
 
 
 def quantize_batch(

@@ -26,8 +26,7 @@ def profile_path(tmp_path):
         "quantizer": {"kind": "vq", "l_vq": 2, "q_vq": 4},
         "entropy_coding": True,
         "waveform": {
-            "link": "uplink_scfdm", "num_symbols": 10, "snr_db": 5.0,
-            "seed": 5, "modulation": "qam64",
+            "num_symbols": 10, "snr_db": 5.0, "seed": 5, "modulation": "qam64",
         },
         "training": {"trainer": "modified", "trials": 2, "seed": 1},
     }
@@ -456,10 +455,8 @@ class TestEval:
         config["quantizer"] = {"kind": "vq", "l_vq": 2, "q_vq": 3}
         config["eval"] = {
             "corpora": {
-                "5dB": {"link": "uplink_scfdm", "num_symbols": 8,
-                        "snr_db": 5.0, "seed": 41},
-                "20dB": {"link": "uplink_scfdm", "num_symbols": 8,
-                         "snr_db": 20.0, "seed": 42},
+                "5dB": {"num_symbols": 8, "snr_db": 5.0, "seed": 41},
+                "20dB": {"num_symbols": 8, "snr_db": 20.0, "seed": 42},
             }
         }
         p = tmp_path / "eval_profile.json"
@@ -503,7 +500,8 @@ class TestIqf1Samples:
                     "--out", tmp_path / "c.cpz") == 3
 
 
-PROFILES = sorted(Path(__file__).parent.parent.glob("profiles/*.json"))
+PROFILE_DIR = Path(__file__).parent.parent / "profiles"
+PROFILES = sorted(PROFILE_DIR.glob("*.json"))
 
 
 @pytest.mark.parametrize("path", PROFILES, ids=[p.name for p in PROFILES])
@@ -518,6 +516,53 @@ def test_shipped_profile_parses(path):
     assert run.waves[0][0].num_symbols == config["waveform"]["num_symbols"]
 
 
+# The waveform block each shipped profile spelled out before corpora took
+# their geometry and link from the chain.
+SPELLED_OUT = {
+    "downlink_vq.json": dict(link="downlink_ofdm", modulation="qam64",
+                             snr_db=5.0, num_symbols=192, seed=401),
+    "sweep_uplink.json": dict(link="uplink_scfdm", modulation="qam64",
+                              snr_db=5.0, num_symbols=48, seed=100),
+    "uplink_vq.json": dict(link="uplink_scfdm", modulation="qam64",
+                           snr_db=5.0, num_symbols=48, seed=100),
+}
+
+
+@pytest.mark.parametrize("path", PROFILES, ids=[p.name for p in PROFILES])
+def test_shipped_profile_gen_bytes(path, tmp_path):
+    # the corpus the chain decides is the one the profile used to spell out
+    want, got = tmp_path / "want.iqf", tmp_path / "got.iqf"
+    cfg = waveform.WaveformConfig(fft_size=1024, cp_length=128,
+                                  used_subcarriers=600,
+                                  **SPELLED_OUT[path.name])
+    fvq.write_iqf1(fvq.generate(cfg), want)
+    assert _run("gen", "--profile", path, "--out", got) == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
+class TestCorporaFollowTheChain:
+    def _corpora(self, config):
+        run = cli._parse(config)
+        return [cfg for cfg, _ in run.waves] + [
+            cfg for pair in run.corpora.values() for cfg, _ in pair
+        ]
+
+    def test_downlink_profile_gives_downlink_corpora(self):
+        config = json.loads((PROFILE_DIR / "downlink_vq.json").read_text())
+        config["eval"] = {"corpora": {"a": {"num_symbols": 2}}}
+        corpora = self._corpora(config)
+        assert len(corpora) == 4
+        assert {c.link for c in corpora} == {waveform.Link.DOWNLINK_OFDM}
+
+    def test_chain_geometry(self, profile_path):
+        config = json.loads(profile_path.read_text())
+        config.update(l_sym=512, l_cp=64, used_subcarriers=300)
+        config["eval"] = {"corpora": {"a": {"num_symbols": 2}}}
+        for c in self._corpora(config):
+            assert (c.fft_size, c.cp_length, c.used_subcarriers, c.link) == (
+                512, 64, 300, waveform.Link.UPLINK_SCFDM)
+
+
 # A profile holding every block, each key of each block set, so that each
 # mutation below reaches a key the commands read.
 FULL = {
@@ -530,15 +575,13 @@ FULL = {
                   "q_low": 2, "q_scale": 6, "g3_entropy": True},
     "entropy_coding": True, "vector_method": "method3_random",
     "vector_seed": 3, "q0": 15,
-    "waveform": {"fft_size": 1024, "cp_length": 128,
-                 "used_subcarriers": 600, "modulation": "qam16",
-                 "snr_db": 5.0, "num_symbols": 2, "seed": 5,
-                 "link": "downlink_ofdm", "channel": "multipath"},
+    "waveform": {"modulation": "qam16", "snr_db": 5.0, "num_symbols": 2,
+                 "seed": 5, "channel": "multipath"},
     "training": {"trainer": "classical", "trials": 1, "seed": 2,
                  "max_iterations": 5, "rel_improvement_eps": 0.001},
     "eval": {"eval_seed_offset": 11,
              "corpora": {"a": {"num_symbols": 2, "snr_db": 20.0, "seed": 6,
-                               "link": "downlink_ofdm", "channel": "awgn"}}},
+                               "channel": "awgn"}}},
     "sweep": {"eval_seed_offset": 13, "points": [
         {"label": "vq", "quantizer": {"kind": "vq", "l_vq": 1, "q_vq": 3}},
         {"label": "msvq", "quantizer": {"kind": "msvq", "q1": 1, "q2": 1,
@@ -645,4 +688,34 @@ def test_upmgq_theta_beyond_a_byte_exit_code_4(command, scratch, theta):
     # parsed, before any training
     config = copy.deepcopy(FULL)
     config["quantizer"]["theta"] = theta
+    assert _run_parse_only(command, config, scratch) == 4
+
+
+# corpus key -> (the chain key that decides it, a value agreeing with FULL)
+DECIDED = {"fft_size": ("l_sym", 1024), "cp_length": ("l_cp", 128),
+           "used_subcarriers": ("used_subcarriers", 600),
+           "link": ("link", "downlink_ofdm")}
+
+
+@pytest.mark.parametrize("key", DECIDED)
+@pytest.mark.parametrize("block", [("waveform",), ("eval", "corpora", "a")],
+                         ids=lambda b: ".".join(b))
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_corpus_block_geometry_or_link_exit_code_4(command, scratch, block,
+                                                    key, caplog):
+    # the chain decides them, so a corpus block cannot set them, not even
+    # to the value the chain gives
+    config = copy.deepcopy(FULL)
+    chain_key, value = DECIDED[key]
+    _node(config, block)[key] = value
+    assert _run_parse_only(command, config, scratch) == 4
+    assert f"the chain's {chain_key!r}" in caplog.text
+
+
+@pytest.mark.parametrize("key", ["link", "l_sym", "l_cp", "used_subcarriers"])
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_sweep_point_geometry_or_link_exit_code_4(command, scratch, key):
+    # every point runs on the one corpus pair the top-level chain decides
+    config = copy.deepcopy(FULL)
+    config["sweep"]["points"][1]["profile"][key] = FULL[key]
     assert _run_parse_only(command, config, scratch) == 4

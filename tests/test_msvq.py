@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fvq import msvq as ms
+from fvq import vq_core
 from fvq.artifacts import VQMS, encode, load_codebook, save_codebook
 from fvq.pipeline import MsvqSpec
 from fvq.errors import ContractViolationError, FormatError
@@ -144,6 +145,29 @@ class TestQuantize:
         rec = ms.dequantize_msvq(two_stage, i1, i2)
         d_ms = np.mean(np.sum((evalv - rec) ** 2, axis=1))
         assert d_ms >= d_plain * 0.98
+
+    def test_stage_2_searches_each_codebook_tree(self, monkeypatch):
+        # 512-word stage-2 codebooks are searched through their own k-d
+        # trees, built once each however many calls search them, and the
+        # indices are the brute-force ones
+        cb = seeded_codebooks(MsvqSpec(1, 3, 3), seed=22)
+        vecs = np.random.default_rng(23).uniform(-16, 16, (4000, 3))
+        builds = []
+        real = vq_core.cKDTree
+
+        def counted(data, *args, **kwargs):
+            builds.append(len(data))
+            return real(data, *args, **kwargs)
+
+        monkeypatch.setattr(vq_core, "cKDTree", counted)
+        for _ in range(2):
+            i1, i2 = ms.quantize_msvq(cb, vecs)
+        assert builds == [512] * cb.stage1.size
+        assert (i1 == vq_core._brute_nearest(vecs, cb.stage1.codewords)).all()
+        for k, sub in enumerate(cb.stage2):
+            sel = i1 == k
+            want = vq_core._brute_nearest(vecs[sel], sub.codewords)
+            assert (i2[sel] == want).all()
 
     def test_index_bounds_checked(self):
         cb = ms.train_msvq(_corpus(5000, seed=18), 2, 2, seed=19)

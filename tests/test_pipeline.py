@@ -234,6 +234,64 @@ class TestRawPassthrough:
         assert chain == pytest.approx(frontend_only, rel=0.02)
 
 
+def _layout_profile(quantizer, method, **chain):
+    return CompressionProfile(link="uplink", quantizer=quantizer,
+                              vector_method=method, vector_seed=5, **chain)
+
+
+class TestVectorLayout:
+    """UPMGQ and raw take their components in the profile's vector layout,
+    as VQ and MSVQ do."""
+
+    @pytest.mark.parametrize("quantizer", [
+        UpmgqSpec(theta=-1, q_high=3, l=2, q_low=2, q_scale=6), RawSpec(),
+    ], ids=["upmgq", "raw"])
+    def test_sections_differ_across_layouts(self, quantizer):
+        s = make_corpus(4, seed=36)
+        cb = seeded_codebooks(quantizer, seed=4)
+        payloads = []
+        for method in fvq.VectorLayout:
+            prof = _layout_profile(
+                quantizer, method, decimation=fvq.ResamplerSpec(5, 8),
+                block_scaling=BlockScalingSpec(32, 8),
+            )
+            frame = pipeline.compress(s, prof, cb)
+            payloads.append({sec.kind: sec.payload for sec in frame.sections
+                             if sec.kind != pipeline.SEC_SCALE})
+        kinds = ([pipeline.SEC_SIGN, pipeline.SEC_G2, pipeline.SEC_G3]
+                 if cb else [pipeline.SEC_RAW])
+        for kind in kinds:
+            assert len({p[kind] for p in payloads}) == 3, kind
+
+    @pytest.mark.parametrize("method", list(fvq.VectorLayout))
+    def test_upmgq_round_trips_exactly(self, method):
+        # components whose high parts are codewords and whose lows are G3
+        # midpoints, laid out by `method`, come back exactly
+        spec = UpmgqSpec(theta=-1, q_high=2, l=3, q_low=2, q_scale=6)
+        cb = seeded_codebooks(spec, seed=4)
+        rng = np.random.default_rng(7)
+        n = 2 * 102  # whole G2 vectors of 3
+        high = cb.high_vq.codewords[rng.integers(0, cb.high_vq.size, n // 3)]
+        sign = 1.0 - 2.0 * rng.integers(0, 2, n)
+        comps = sign * (high.ravel() * 0.5 + cb.low_sq[rng.integers(0, 4, n)])
+        s = fvq.devectorize(fvq.VectorBatch(3, comps, method, 5, n))
+        prof = _layout_profile(spec, method)
+        out = pipeline.decompress(pipeline.compress(s, prof, cb).to_bytes(),
+                                  prof, cb)
+        np.testing.assert_array_equal(out.samples, s.samples)
+
+    @pytest.mark.parametrize("method", list(fvq.VectorLayout))
+    def test_raw_round_trips_exactly(self, method):
+        # integer components with a peak of 2^(q0-1) - 1 are their own codes
+        rng = np.random.default_rng(8)
+        comps = rng.integers(-127, 128, 2 * 101).astype(np.float64)
+        comps[7] = 127.0
+        s = fvq.IQStream(comps[:101] + 1j * comps[101:])
+        prof = _layout_profile(RawSpec(), method, entropy_coding=False, q0=8)
+        out = pipeline.decompress(pipeline.compress(s, prof).to_bytes(), prof)
+        np.testing.assert_array_equal(out.samples, s.samples)
+
+
 class TestRoundTrip:
     def test_readme_worked_example_bytes(self):
         prof = CompressionProfile(

@@ -88,6 +88,16 @@ class TestLevelStatistics:
             ug.level_statistics(IQStream(np.zeros(0, complex)))
 
 
+def _g2_reference(stream, cfg):
+    """G2 vectors of a method-1 stream: the high parts of all I, then all Q,
+    over 2^theta in rows of l, the last one zero-padded."""
+    comps = np.concatenate([stream.samples.real, stream.samples.imag])
+    high = ug._expand_components(comps, cfg.theta)[1] * 2.0**-cfg.theta
+    padded = np.zeros(-(-len(high) // cfg.l) * cfg.l)
+    padded[: len(high)] = high
+    return padded.reshape(-1, cfg.l)
+
+
 def _cfg(theta=0, q_high=4, l=2, q_low=4):
     return ug.UpmgqConfig(theta=theta, q_high=q_high, l=l, q_low=q_low)
 
@@ -164,9 +174,7 @@ class TestQuantize:
         ind = ug.quantize_upmgq(cb, cfg, s)
         out = ug.dequantize_upmgq(cb, cfg, ind, s.sample_rate)
         # per-component error < G3 half step + max G2 cell radius
-        comps = np.concatenate([s.samples.real, s.samples.imag])
-        high = ug._expand_components(comps, cfg.theta)[1]
-        vecs = ug._g2_vectors(high, cfg.theta, cfg.l)
+        vecs = _g2_reference(s, cfg)
         from fvq.vq_core import _assign
 
         idx, dist = _assign(vecs, cb.high_vq.codewords)
@@ -254,9 +262,7 @@ class TestQuantize:
         n = bits.stats.n_vectors
         assert (g2.items, g2.distance_evals) == (n, cb.high_vq.size * n)
         x = pipeline.frontend_transform(uplink_corpus, profile)
-        comps = np.concatenate([x.samples.real, x.samples.imag])
-        high = ug._expand_components(comps, spec.theta)[1]
-        vecs = ug._g2_vectors(high, spec.theta, spec.l)
+        vecs = _g2_reference(x, spec)
         want = vq_core._brute_nearest(vecs, cb.high_vq.codewords)
         got = ug.quantize_upmgq(cb, spec, x).g2_indices
         assert got.tobytes() == want.tobytes()
