@@ -46,12 +46,13 @@ EXIT_DATA = 3
 EXIT_CONTRACT = 4
 
 _BLOCKS = ("waveform", "training", "eval", "sweep")
-_TRAINING = {"trainer": str, "trials": int, "seed": int,
-             "max_iterations": int, "rel_improvement_eps": float}
-_EVAL = {"corpora": dict, "eval_seed_offset": int}
-_SWEEP = {"points": list, "eval_seed_offset": int}
+_TRAINING = {"trainer": str, "trials": int, "seed": int}
+_EVAL = {"corpora": dict}
+_SWEEP = {"points": list}
 _POINT = {"label": str, "quantizer": dict, "profile": dict}
 _CHANNELS = ("awgn", "multipath")
+# an eval corpus is its training corpus with this much added to the seed
+_EVAL_SEED_OFFSET = 7777
 # WaveformConfig fields a corpus block may not set -> the chain key that does
 _CHAIN_DECIDES = {"fft_size": "l_sym", "cp_length": "l_cp",
                   "used_subcarriers": "used_subcarriers", "link": "link"}
@@ -102,10 +103,10 @@ def _typed(block, types) -> dict:
     return block
 
 
-def _waveforms(block, seed_offset, profile):
+def _waveforms(block, profile):
     """The (train, eval) (WaveformConfig, channel) pair of a corpus block on
     the chain `profile`'s symbol geometry and link: the eval seed is the
-    train seed plus `seed_offset`, and a null or absent snr_db is
+    train seed plus `_EVAL_SEED_OFFSET`, and a null or absent snr_db is
     noiseless."""
     block = {**block}
     for key in sorted(block.keys() & _CHAIN_DECIDES):
@@ -123,19 +124,14 @@ def _waveforms(block, seed_offset, profile):
         used_subcarriers=profile.used_subcarriers, link=_LINKS[profile.link],
         **block,
     )
-    shifted = dataclasses.replace(cfg, seed=cfg.seed + seed_offset)
+    shifted = dataclasses.replace(cfg, seed=cfg.seed + _EVAL_SEED_OFFSET)
     return (cfg, channel), (shifted, channel)
 
 
 def _training(block) -> dict:
     """`train_for_profile` keywords for only the keys "training" sets."""
-    opts = {**_typed(block, _TRAINING)}
-    vq_core.trainer(opts.get("trainer", vq_core.MODIFIED))
-    stop = {k: opts.pop(k) for k in ("max_iterations", "rel_improvement_eps")
-            if k in opts}
-    if stop:
-        opts["stop"] = vq_core.LloydStop(**stop)
-    return opts
+    vq_core.trainer(_typed(block, _TRAINING).get("trainer", vq_core.MODIFIED))
+    return block
 
 
 def _point(point, chain):
@@ -156,9 +152,8 @@ def _point(point, chain):
 
 def _eval_corpora(block, profile) -> dict:
     """label -> (train, eval) waveform pair for each "eval" corpus."""
-    offset = _typed(block, _EVAL).get("eval_seed_offset", 7777)
-    return {label: _waveforms(wf, offset, profile)
-            for label, wf in block["corpora"].items()}
+    return {label: _waveforms(wf, profile)
+            for label, wf in _typed(block, _EVAL)["corpora"].items()}
 
 
 def _parse(config: dict) -> SimpleNamespace:
@@ -169,9 +164,8 @@ def _parse(config: dict) -> SimpleNamespace:
     return SimpleNamespace(
         config=config,
         profile=profile,
-        # (train, eval) waveforms, eval seeds shifted by the sweep's offset
         waves=_block("waveform block", _waveforms, config.get("waveform", {}),
-                     sweep.get("eval_seed_offset", 7777), profile),
+                     profile),
         training=_block("training block", _training,
                         config.get("training", {})),
         corpora=_block("eval block", _eval_corpora,
@@ -199,7 +193,6 @@ def _gen_corpus(wave):
     stream = waveform.generate(cfg)
     if channel == "multipath":
         stream = waveform.apply_static_multipath(stream, cfg.seed)
-    stream.meta["channel"] = channel
     return stream
 
 
@@ -355,10 +348,10 @@ def cmd_stats(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     ent_path = os.path.join(args.out, "orthant_entropy.csv")
-    entropy = vectorizer.orthant_entropy
+    entropy, seed = vectorizer.orthant_entropy, run.profile.vector_seed
     _write_csv(ent_path, ["method", "l_vq", "entropy_bits"], [
         [method.value, l_vq,
-         f"{entropy(vectorizer.vectorize(stream, method, l_vq, seed=1)):.6f}"]
+         f"{entropy(vectorizer.vectorize(stream, method, l_vq, seed)):.6f}"]
         for method in vectorizer.VectorLayout for l_vq in (1, 2, 3, 4)
     ])
     stats = upmgq.level_statistics(

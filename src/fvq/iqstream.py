@@ -11,7 +11,7 @@ IQF1 layout (all integers little-endian):
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -20,19 +20,20 @@ from .errors import ContractViolationError, FormatError
 
 IQF1_MAGIC = b"IQF1\x00\x00\x00\x00"
 
-# LTE 10 MHz sampling rate (1024-point FFT grid), used as the default
-# provenance rate for generated corpora.
+# LTE 10 MHz sampling rate (1024-point FFT grid), the default rate of a
+# stream and the rate of a generated corpus on a 1024-point grid.
 DEFAULT_SAMPLE_RATE_HZ = 15_360_000
 
 
 @dataclass(eq=False)
 class IQStream:
-    """A sequence of complex baseband samples plus rate/provenance metadata;
-    compared by identity, since its samples are an array."""
+    """Complex baseband samples and their rate, nothing else: what made a
+    stream is recorded in the resolved profile (the CLI's .meta.json
+    sidecar), not in the stream. Compared by identity, since its samples
+    are an array."""
 
     samples: np.ndarray
     sample_rate: Fraction = Fraction(DEFAULT_SAMPLE_RATE_HZ)
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.complex128)
@@ -53,7 +54,7 @@ class IQStream:
 
     def with_samples(self, samples, sample_rate=None) -> "IQStream":
         rate = self.sample_rate if sample_rate is None else sample_rate
-        return IQStream(samples, rate, dict(self.meta))
+        return IQStream(samples, rate)
 
 
 def write_iqf1(stream: IQStream, path) -> None:

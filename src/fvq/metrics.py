@@ -10,7 +10,7 @@ something the metric should hide.
 
 import csv
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -80,7 +80,6 @@ class EvalReport:
     l_high: float = 0.0
     l_low: float = 0.0
     profile_digest: str = ""
-    corpus: dict = field(default_factory=dict)
     schema: str = REPORT_SCHEMA
 
     def to_json(self) -> str:

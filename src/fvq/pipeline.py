@@ -6,7 +6,8 @@ decimation -> block scaling -> quantization -> entropy coding.
 order; each gives its `gain`, its output length and rate (`size`), `forward`
 (block scaling appends section kind 1 there) and `inverse`. `decompress`
 walks the sizes forward from the header's M and rate, refuses a header whose
-M_dec they do not reach, and checks each stage's input length on the way back.
+M_dec they do not reach or whose permutation seed is not the profile's
+vector_seed, and checks each stage's input length on the way back.
 
 CPZ1 frame layout (little-endian):
 
@@ -156,7 +157,8 @@ class _IndexQuantizer:
         indices = _read_streams(bits, self.streams(cb, profile.entropy_coding))
         batch = VectorBatch(
             self.l, self.reconstruct(cb, *indices), profile.vector_method,
-            permutation_seed=bits.perm_seed, original_count=2 * bits.m_dec,
+            permutation_seed=profile.vector_seed,
+            original_count=2 * bits.m_dec,
         )
         return devectorize(batch, rate)
 
@@ -307,7 +309,7 @@ class UpmgqSpec(UpmgqConfig):
     def dequantize(self, bits, profile, cb, rate):
         codes = _read_streams(bits, self.streams(cb, profile.entropy_coding))
         return dequantize_upmgq(cb, self, UpmgqIndices(*codes), rate,
-                                profile.vector_method, bits.perm_seed)
+                                profile.vector_method, profile.vector_seed)
 
     def gain_stats(self, stats, q0):
         n_comp = max(stats.section_bits.get(SEC_SIGN, 0), 1)
@@ -355,7 +357,7 @@ class RawSpec:
         (codes,) = _read_streams(bits, [(SEC_RAW, profile.q0, 1, None)])
         comps = (codes - (1 << (profile.q0 - 1))) / bits.raw_scale
         batch = VectorBatch(1, comps, profile.vector_method,
-                            permutation_seed=bits.perm_seed,
+                            permutation_seed=profile.vector_seed,
                             original_count=2 * bits.m_dec)
         return devectorize(batch, rate)
 
@@ -845,6 +847,11 @@ def decompress(data: bytes, profile: CompressionProfile, codebooks=None) -> IQSt
         raise MalformedBitstreamError(
             f"header M_dec {bits.m_dec} != {sizes[-1][0]}, from M {bits.m_in}"
         )
+    if bits.perm_seed != profile.vector_seed:
+        raise MalformedBitstreamError(
+            f"header permutation seed {bits.perm_seed} != the profile's "
+            f"vector_seed {profile.vector_seed}"
+        )
     x = profile.quantizer.dequantize(bits, profile, codebooks, sizes[-1][1])
     for i in reversed(range(len(stages))):
         x = stages[i].inverse(_sized(x, sizes[i + 1][0]), sizes[i][0], bits)
@@ -902,5 +909,4 @@ def evaluate_chain(
         l_high=stats.l_high,
         l_low=stats.l_low,
         profile_digest=f"{profile.digest():016x}",
-        corpus=dict(stream.meta),
     )

@@ -118,8 +118,8 @@ from .errors import ContractViolationError
 CLASSICAL = "classical"
 MODIFIED = "modified"
 
-# Keep chunked distance matrices around this many float64 entries (~64 MB).
-_CHUNK_BUDGET = 8_000_000
+# Keep chunked distance matrices around this many float64 entries (~8 MB).
+_CHUNK_BUDGET = 1_000_000
 
 # Smallest codebook searched with a k-d tree. Median of 9 calls on 2 vCPUs,
 # random codebooks, n = 1,000 / 10,080 / 34,560 vectors: at K = 512 the tree

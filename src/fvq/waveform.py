@@ -119,14 +119,8 @@ def generate(config: WaveformConfig) -> IQStream:
     """
     n_sym = config.num_symbols
     rate = DEFAULT_SAMPLE_RATE_HZ * config.fft_size // 1024
-    meta = {
-        "link": config.link.value,
-        "modulation": config.modulation.value,
-        "snr_db": config.snr_db,
-        "seed": config.seed,
-    }
     if n_sym == 0:
-        return IQStream(np.zeros(0, dtype=np.complex128), rate, meta)
+        return IQStream(np.zeros(0, dtype=np.complex128), rate)
 
     rng = np.random.Generator(
         np.random.PCG64(_derived_seed(config.seed, _DATA_TAG))
@@ -145,7 +139,7 @@ def generate(config: WaveformConfig) -> IQStream:
     samples = body.ravel()
     samples = samples / math.sqrt(np.mean(np.abs(samples) ** 2))
 
-    clean = IQStream(samples, rate, meta)
+    clean = IQStream(samples, rate)
     if math.isinf(config.snr_db):
         return clean
     noise_seed = _derived_seed(config.seed, _NOISE_TAG)
@@ -195,6 +189,4 @@ def apply_static_multipath(
     h /= np.linalg.norm(h)
     out = np.convolve(stream.samples, h)[: len(stream)]
     out /= math.sqrt(np.mean(np.abs(out) ** 2) / max(stream.power, 1e-300))
-    meta = dict(stream.meta)
-    meta["channel"] = f"multipath{num_taps}"
-    return IQStream(out, stream.sample_rate, meta)
+    return stream.with_samples(out)

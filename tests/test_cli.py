@@ -337,7 +337,7 @@ class TestTrainCompressDecompress:
                     "--set", "training.trainer=bogus",
                     "--out", tmp_path / "cb.vqcb") == 4
 
-    @pytest.mark.parametrize("key", ["trials", "rel_improvement_eps"])
+    @pytest.mark.parametrize("key", ["trials"])
     def test_malformed_training_value_exit_code_4(
         self, profile_path, tmp_path, key
     ):
@@ -428,6 +428,24 @@ class TestStats:
         lev = _csv_rows(out_dir / "level_statistics.csv")
         sign_rows = [r for r in lev if r["level"] == "sign"]
         assert abs(float(sign_rows[0]["p_one"]) - 0.5) < 0.05
+
+    def test_method_3_rows_follow_vector_seed(self, profile_path, tmp_path):
+        corpus = tmp_path / "c.iqf"
+        assert _run("gen", "--profile", profile_path, "--out", corpus) == 0
+        stream = read_iqf1(corpus)
+        rows = {}
+        for seed in (2, 9):
+            out_dir = tmp_path / f"stats{seed}"
+            assert _run("stats", "--profile", profile_path, "--in", corpus,
+                        "--set", f"vector_seed={seed}", "--out", out_dir) == 0
+            rows[seed] = _csv_rows(out_dir / "orthant_entropy.csv")
+        for r2, r9 in zip(rows[2], rows[9], strict=True):
+            if r2["method"] != "method3_random":
+                assert r2 == r9
+                continue
+            for seed, r in ((2, r2), (9, r9)):
+                vecs = fvq.vectorize(stream, r["method"], int(r["l_vq"]), seed)
+                assert r["entropy_bits"] == f"{fvq.orthant_entropy(vecs):.6f}"
 
     def test_constant_input_degenerate(self, profile_path, tmp_path):
         import numpy as np
@@ -577,12 +595,10 @@ FULL = {
     "vector_seed": 3, "q0": 15,
     "waveform": {"modulation": "qam16", "snr_db": 5.0, "num_symbols": 2,
                  "seed": 5, "channel": "multipath"},
-    "training": {"trainer": "classical", "trials": 1, "seed": 2,
-                 "max_iterations": 5, "rel_improvement_eps": 0.001},
-    "eval": {"eval_seed_offset": 11,
-             "corpora": {"a": {"num_symbols": 2, "snr_db": 20.0, "seed": 6,
+    "training": {"trainer": "classical", "trials": 1, "seed": 2},
+    "eval": {"corpora": {"a": {"num_symbols": 2, "snr_db": 20.0, "seed": 6,
                                "channel": "awgn"}}},
-    "sweep": {"eval_seed_offset": 13, "points": [
+    "sweep": {"points": [
         {"label": "vq", "quantizer": {"kind": "vq", "l_vq": 1, "q_vq": 3}},
         {"label": "msvq", "quantizer": {"kind": "msvq", "q1": 1, "q2": 1,
                                         "l": 2},
@@ -595,6 +611,11 @@ BLOCKS = [(), ("decimation",), ("block_scaling",), ("quantizer",),
           ("sweep",), ("sweep", "points", 1),
           ("sweep", "points", 1, "quantizer"),
           ("sweep", "points", 1, "profile")]
+# keys the CLI once read -> the value each defaulted to
+DROPPED = {("training", "max_iterations"): 200,
+           ("training", "rel_improvement_eps"): 1e-4,
+           ("eval", "eval_seed_offset"): 7777,
+           ("sweep", "eval_seed_offset"): 7777}
 COMMANDS = [["gen"], ["train", "--in", "IN"], ["compress", "--in", "IN"],
             ["decompress", "--in", "IN"], ["eval"], ["sweep"], ["stats"]]
 
@@ -669,6 +690,14 @@ class TestOneParseRule:
         config = copy.deepcopy(FULL)
         del _node(config, path[:-1])[path[-1]]
         assert _run_parse_only(command, config, scratch) == 4
+
+    @pytest.mark.parametrize("path", DROPPED, ids=lambda p: ".".join(p))
+    def test_dropped_key_exit_code_4(self, command, scratch, path, caplog):
+        # no longer read, so unknown, even at the value it used to default to
+        config = copy.deepcopy(FULL)
+        _node(config, path[:-1])[path[-1]] = DROPPED[path]
+        assert _run_parse_only(command, config, scratch) == 4
+        assert f"KeyError({path[-1]!r})" in caplog.text
 
     def test_full_profile_parses(self, command, scratch):
         # every command accepts the profile the mutations start from: it

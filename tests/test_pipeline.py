@@ -263,6 +263,21 @@ class TestVectorLayout:
         for kind in kinds:
             assert len({p[kind] for p in payloads}) == 3, kind
 
+    @pytest.mark.parametrize("quantizer", [
+        VqSpec(2, 4), UpmgqSpec(theta=-1, q_high=3, l=2, q_low=2, q_scale=6),
+        RawSpec(),
+    ], ids=["vq", "upmgq", "raw"])
+    def test_header_seed_other_than_the_profiles_is_malformed(self, quantizer):
+        # the profile's vector_seed decides the layout; a header that
+        # disagrees is refused, not read back in another order
+        prof = _layout_profile(quantizer, fvq.VectorLayout.METHOD3)
+        cb = seeded_codebooks(quantizer, seed=4)
+        frame = pipeline.compress(make_corpus(2, seed=37), prof, cb)
+        assert frame.perm_seed == 5
+        frame.perm_seed = 6
+        with pytest.raises(MalformedBitstreamError, match="permutation seed"):
+            pipeline.decompress(frame.to_bytes(), prof, cb)
+
     @pytest.mark.parametrize("method", list(fvq.VectorLayout))
     def test_upmgq_round_trips_exactly(self, method):
         # components whose high parts are codewords and whose lows are G3

@@ -264,6 +264,20 @@ class TestSearchPaths:
             tracemalloc.stop()
         assert peak < 256 * len(vectors)
 
+    def test_brute_force_memory_bounded(self):
+        # exact ties of integer vectors against integer codewords go to
+        # brute force whole; its distance matrix is chunked to the budget
+        rng = np.random.default_rng(48)
+        codewords = rng.integers(0, 60, (1024, 2)).astype(np.float64)
+        vectors = rng.integers(0, 60, (9000, 2)).astype(np.float64)
+        tracemalloc.start()
+        try:
+            vq_core._brute_nearest(vectors, codewords)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_grid_searches_few_vectors_again(self):
         rng = np.random.default_rng(52)
         cb = Codebook(2, 6, rng.uniform(-8, 8, (4096, 2)))
