@@ -10,8 +10,12 @@ per polyphase branch, i.e. filter_taps * max(K, L) taps total, cutoff at the
 narrower of the two Nyquist edges, and designed once per (filter_taps,
 stopband_atten_db, K, L). Group delay is compensated inside the polyphase
 engine so input and output streams align sample-for-sample. The taps are
-real, so the filter runs on I and Q as real rows in one call: each rail
-gets exactly the products and sums a complex filter would give it.
+real, so the filter runs on I and Q as real rows: each rail gets exactly the
+products and sums a complex filter would give it. The rows are filtered in
+contiguous groups, one per CPU the process may use, the first on the calling
+thread and the rest on a module-private thread pool; every row runs the same
+C loop whichever group holds it, so the output bits do not depend on the CPU
+count.
 
 A CP-removed downlink stream is a run of whole symbols, each one period of a
 band-limited signal, with nothing to absorb the filter transient where two
@@ -23,6 +27,8 @@ rate change of every symbol's periodic extension.
 
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -131,6 +137,28 @@ def _kaiser_lowpass(filter_taps, stopband_atten_db, up, down):
     return taps
 
 
+@functools.cache
+def _cpu_count() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    # its tasks never submit to it, so a caller on any thread can wait on them
+    return ThreadPoolExecutor(workers, thread_name_prefix="fvq-resample")
+
+
+def _filter_rows(rows, up, down, taps):
+    """`resample_poly` along the last axis of every row: one contiguous
+    group of rows per CPU, the first filtered here, the rest on the pool."""
+    groups = np.array_split(rows, min(_cpu_count(), len(rows)))
+    filt = functools.partial(
+        signal.resample_poly, up=up, down=down, axis=-1, window=taps
+    )
+    rest = [_pool(_cpu_count() - 1).submit(filt, g) for g in groups[1:]]
+    return np.concatenate([filt(groups[0])] + [f.result() for f in rest])
+
+
 def resample(
     stream: IQStream, spec: ResamplerSpec, direction: str, period: int = None
 ) -> IQStream:
@@ -176,9 +204,7 @@ def resample(
         pad = down * math.ceil((half_span + 1) / down)
         wrap = np.arange(-pad, period + pad) % period
         rows = stream.samples.reshape(-1, period)[:, wrap]
-    rails = signal.resample_poly(
-        np.concatenate([rows.real, rows.imag]), up, down, axis=-1, window=taps
-    )
+    rails = _filter_rows(np.concatenate([rows.real, rows.imag]), up, down, taps)
     if period is not None:
         start = pad * up // down
         rails = rails[:, start : start + period * up // down]

@@ -32,7 +32,6 @@ from .vq_core import (
     _field_state,
     _nearest,
     codebook_size,
-    quantize_batch,
     train_classical,  # noqa: F401 (patched by bench/tracing.py)
     train_modified,  # noqa: F401
 )
@@ -157,7 +156,7 @@ def quantize_msvq(
     a grid each would cost more memory than it saves: they keep `_nearest`,
     through each codebook's own k-d `tree`."""
     vecs = _as_vectors(vectors)
-    i1 = quantize_batch(cb.stage1, vecs)  # checks the vector length
+    i1 = vq_core.quantize_batch(cb.stage1, vecs)  # checks the vector length
     i2 = np.empty(len(vecs), dtype=np.int64)
     evals = cb.stage1.size * len(vecs)
     for sub, rows in zip(cb.stage2, _cells(i1, cb.stage1.size)):

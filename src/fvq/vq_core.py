@@ -118,8 +118,12 @@ from .errors import ContractViolationError
 CLASSICAL = "classical"
 MODIFIED = "modified"
 
-# Keep chunked distance matrices around this many float64 entries (~8 MB).
-_CHUNK_BUDGET = 1_000_000
+# Brute-force search forms its distance matrix one product of at most this
+# many multiply-adds (rows x codewords x l) at a time. 2^18 is OpenBLAS's
+# threading cutoff (4 x 65,536), so each product runs on the calling thread
+# and never wakes the BLAS pool, whose idle worker would then spin on another
+# core; and the block (2^18 / l float64 entries, 1 MiB at l = 2) stays in L2.
+_PRODUCT_MADDS = 1 << 18
 
 # Smallest codebook searched with a k-d tree. Median of 9 calls on 2 vCPUs,
 # random codebooks, n = 1,000 / 10,080 / 34,560 vectors: at K = 512 the tree
@@ -341,10 +345,10 @@ def nearest_codeword(codebook: Codebook, vector, counter: SearchCounter = None) 
 
 def _brute_nearest(vectors: np.ndarray, codewords: np.ndarray) -> np.ndarray:
     """argmin over c of |c|^2 - 2 v.c (|v|^2 is constant per row), one
-    matrix product per chunk so the matrix never exceeds the budget."""
+    matrix product per chunk of rows, each within `_PRODUCT_MADDS`."""
     idx = np.empty(len(vectors), dtype=np.int64)
     cw_sq = np.einsum("kl,kl->k", codewords, codewords)
-    chunk = max(1, _CHUNK_BUDGET // max(len(codewords), 1))
+    chunk = max(1, _PRODUCT_MADDS // max(codewords.size, 1))
     for a in range(0, len(vectors), chunk):
         g = vectors[a : a + chunk] @ codewords.T
         g *= -2.0

@@ -61,3 +61,17 @@ def test_training_calls_patched_lloyd(name):
     assert calls
     first = FIRST_TRAINED[profile.quantizer.kind](artifact)
     assert first.training_meta is calls[0][1].training_meta
+
+
+def test_msvq_stage_one_search_is_timed_as_quantize_batch():
+    # stage 1 calls vq_core.quantize_batch through the module, where the
+    # benchmark patches it, so its search time is not folded into MSVQ's
+    profile = workloads.WORKLOADS["dl_msvq_332"].profile
+    frame = make_corpus(2, snr_db=20.0, seed=37, link="downlink_ofdm")
+    codebooks = seeded_codebooks(profile.quantizer, seed=41)
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.root("op.compress", 0):
+        pipeline.compress(frame, profile, codebooks)
+    parents = [tracer.spans[s.parent].name for s in tracer.spans
+               if s.name == "vq_core.quantize_batch"]
+    assert parents == ["msvq.quantize_msvq"]

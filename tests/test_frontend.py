@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -240,6 +243,106 @@ class TestResample:
         with pytest.raises(ContractViolationError):  # ragged last period
             frontend.resample(_rand_stream(1500), spec, frontend.DECIMATE,
                               period=1024)
+
+
+def _one_call(samples, spec, up, down, period=None):
+    """Reference: the resampler's stacked real rows (every period's I rows,
+    then its Q rows) through one resample_poly call."""
+    taps = frontend.design_lowpass(spec, up, down)
+    if period is None:
+        rows = samples[np.newaxis]
+    else:
+        half_span = (len(taps) - 1) // 2 / up
+        pad = down * math.ceil((half_span + 1) / down)
+        rows = samples.reshape(-1, period)[:, np.arange(-pad, period + pad)
+                                           % period]
+    rails = signal.resample_poly(np.concatenate([rows.real, rows.imag]), up,
+                                 down, axis=-1, window=taps)
+    if period is not None:
+        start = pad * up // down
+        rails = rails[:, start : start + period * up // down]
+    out = np.empty((len(rows), rails.shape[1]), dtype=complex)
+    out.real, out.imag = rails[: len(rows)], rails[len(rows) :]
+    return out.ravel()
+
+
+@pytest.fixture
+def see_cpus(monkeypatch):
+    """Make the resampler see `n` CPUs; the real count is read again after
+    the test."""
+    def see(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        frontend._cpu_count.cache_clear()
+
+    yield see
+    frontend._cpu_count.cache_clear()
+
+
+class TestRowGroups:
+    """The rows are filtered in one group per CPU with the bits of one
+    call over all of them."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("direction", [frontend.DECIMATE,
+                                           frontend.INTERPOLATE])
+    @pytest.mark.parametrize("period", [None, 1024])
+    def test_same_bits_as_one_call(self, see_cpus, monkeypatch, cpus,
+                                   direction, period):
+        spec = frontend.ResamplerSpec(5, 8)
+        up, down = (5, 8) if direction == frontend.DECIMATE else (8, 5)
+        if direction == frontend.INTERPOLATE and period is not None:
+            period = 640
+        # 2 rails on the linear path; 2 x 5 = 10 periodic rows, which 3
+        # groups do not divide
+        x = _rand_stream(5 * 1024, seed=cpus).samples
+        want = _one_call(x, spec, up, down, period)
+        see_cpus(cpus)
+        resample_poly = signal.resample_poly
+        groups = []
+
+        def spy(x, *args, **kwargs):
+            groups.append(len(x))
+            return resample_poly(x, *args, **kwargs)
+
+        monkeypatch.setattr(signal, "resample_poly", spy)
+        out = frontend.resample(IQStream(x), spec, direction, period=period)
+        rows = 2 if period is None else 2 * len(x) // period
+        assert sorted(groups, reverse=True) == [
+            len(g) for g in np.array_split(np.empty(rows), min(cpus, rows))
+        ]
+        _assert_same_bits(out.samples, want)
+
+    def test_concurrent_callers_get_serial_results(self, see_cpus):
+        see_cpus(3)
+        spec = frontend.ResamplerSpec(5, 8)
+        inputs = [_rand_stream(14 * 1024, seed=s) for s in range(4)]
+        want = [_one_call(x.samples, spec, 5, 8, 1024) for x in inputs]
+        got = [[] for _ in inputs]
+        start = threading.Barrier(4)
+
+        def work(i):
+            start.wait()
+            for _ in range(5):
+                got[i].append(frontend.resample(
+                    inputs[i], spec, frontend.DECIMATE, period=1024
+                ).samples)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        for outs, w in zip(got, want):
+            assert len(outs) == 5
+            for out in outs:
+                _assert_same_bits(out, w)
 
 
 class TestBlockScaling:

@@ -1,8 +1,13 @@
 """Every name a module of `fvq` imports is used in that module, unless the
 benchmark patches it there (`bench.tracing.SITES`): such an import exists
-only so the benchmark can time the calls made through it."""
+only so the benchmark can time the calls made through it. Importing `fvq`
+starts no thread, and the resampler's thread pool does not keep a process
+from exiting."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +37,37 @@ def test_no_unused_import(path):
         if name not in used and (f"fvq.{path.stem}", name) not in PATCH_SITES
     ]
     assert unused == []
+
+
+ROOT = SRC.parent.parent
+
+# resamples once on a pool of at least one worker, then returns
+_RESAMPLE_ONCE = """
+import threading
+import numpy as np
+from fvq import frontend
+from fvq.iqstream import IQStream
+frontend._cpu_count = lambda: 2
+x = np.random.default_rng(0).standard_normal(4096) + 0j
+frontend.resample(IQStream(x), frontend.ResamplerSpec(5, 8), frontend.DECIMATE)
+assert any(t.name.startswith("fvq-resample") for t in threading.enumerate())
+"""
+
+
+def _child(code):
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT)])}
+    return subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_starts_no_thread():
+    run = _child("import threading, fvq, fvq.cli\n"
+                 "print(threading.active_count())")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["1"]
+
+
+def test_resampler_pool_lets_the_process_exit():
+    run = _child(_RESAMPLE_ONCE)
+    assert run.returncode == 0, run.stderr

@@ -278,6 +278,33 @@ class TestSearchPaths:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 64, 1024, 4096])
+    def test_brute_force_products_within_blas_cutoff(self, k, l):
+        # every product stays at or below OpenBLAS's threading cutoff, and
+        # the chunks cover the batch, a partial last chunk included
+        products = []
+
+        class Recorded(np.ndarray):
+            def __matmul__(self, other):
+                products.append((len(self), len(self) * other.size))
+                return np.asarray(self) @ other
+
+        rng = np.random.default_rng([k, l])
+        n = 2 * (2**18 // (k * l)) + 7
+        codewords = rng.uniform(-64, 64, (k, l))
+        vectors = rng.uniform(-64, 64, (n, l))
+        idx = vq_core._brute_nearest(vectors.view(Recorded), codewords)
+        assert sum(rows for rows, _ in products) == n
+        assert len(products) >= 3
+        assert max(madds for _, madds in products) <= 2**18
+        if k % 8 == 0:
+            # distinct codewords: the indices of one unchunked product
+            g = vectors @ codewords.T
+            g *= -2.0
+            g += np.einsum("kl,kl->k", codewords, codewords)
+            assert idx.tobytes() == np.argmin(g, axis=1).tobytes()
+
     def test_grid_searches_few_vectors_again(self):
         rng = np.random.default_rng(52)
         cb = Codebook(2, 6, rng.uniform(-8, 8, (4096, 2)))
